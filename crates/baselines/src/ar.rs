@@ -29,12 +29,11 @@ use serde::{Deserialize, Serialize};
 use wsn_geometry::sample;
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, ChangeDrivenProtocol, Endpoint, EnergyModel, Fate, Metrics, NetLink,
-    NetModelSpec, NodeId, ProtocolHealth, RoundOutcome, RoundProtocol, RoundRunner, SimRng,
-    TraceEvent, TraceLog,
+    ChangeDrivenProtocol, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId,
+    ProtocolHealth, RoundOutcome, RoundProtocol, RoundRunner, SimRng, TraceEvent, TraceLog,
 };
 
-use wsn_coverage::actor::NET_STREAM_TAG;
+use wsn_coverage::link::{endpoint, net_link};
 use wsn_coverage::scheme::{SchemeDetails, SchemeReport};
 use wsn_coverage::SpareSelection;
 
@@ -170,11 +169,10 @@ impl ArProtocol {
 
     /// Like [`ArProtocol::new`] but with every monitor probe and cascade
     /// ask routed through `spec`'s network model. The link draws from
-    /// its own [`derive_stream_seed`]ed stream (tag
-    /// [`NET_STREAM_TAG`], shared with the SR/SR-SC event engines), so
-    /// under [`NetModelSpec::Ideal`] runs are identical to classic runs.
+    /// its own stream ([`net_link`], shared with SR and SR-SC), so under
+    /// [`NetModelSpec::Ideal`] runs are identical to classic runs.
     pub fn with_net_model(net: GridNetwork, config: ArConfig, spec: NetModelSpec) -> ArProtocol {
-        let link = spec.link(derive_stream_seed(config.seed, &[NET_STREAM_TAG]));
+        let link = net_link(spec, config.seed);
         let mut p = ArProtocol::new(net, config);
         p.link = Some(link);
         p
@@ -222,32 +220,14 @@ impl ArProtocol {
         }
     }
 
-    fn endpoint(&self, cell: GridCoord) -> Endpoint {
-        let idx = self
-            .net
-            .system()
-            .index_of(cell)
-            .expect("cascade cells are in bounds");
-        let c = self
-            .net
-            .system()
-            .cell_center(cell)
-            .expect("cascade cells are in bounds");
-        Endpoint {
-            cell: idx as u64,
-            pos: (c.x, c.y),
-        }
-    }
-
     /// Routes a cascade ask over the network model. Returns the round
     /// the ask becomes actionable, or `None` when the network dropped it
     /// (`0` — immediately actionable — in classic mode).
     fn route_ask(&mut self, from: GridCoord, to: GridCoord, round: u64) -> Option<u64> {
-        let (ef, et) = (self.endpoint(from), self.endpoint(to));
         let Some(link) = &mut self.link else {
             return Some(0);
         };
-        let fate = link.route(ef, et);
+        let fate = link.route(endpoint(&self.net, from), endpoint(&self.net, to));
         let deliver_at = match fate {
             Fate::Deliver(extra) => Some(round + 1 + extra),
             Fate::Drop => {
@@ -270,11 +250,10 @@ impl ArProtocol {
     /// A monitor's same-tick occupancy probe of a watched hole. Always
     /// succeeds in classic mode.
     fn probe(&mut self, monitor: GridCoord, hole: GridCoord, round: u64) -> bool {
-        let (ef, et) = (self.endpoint(monitor), self.endpoint(hole));
         let Some(link) = &mut self.link else {
             return true;
         };
-        let probed = link.sense(ef, et);
+        let probed = link.sense(endpoint(&self.net, monitor), endpoint(&self.net, hole));
         self.trace.record(
             round,
             TraceEvent::NetMessage {
@@ -298,45 +277,6 @@ impl ArProtocol {
     /// them.
     fn is_usable(&self, cell: GridCoord) -> bool {
         self.net.is_cell_enabled(cell).unwrap_or(false)
-    }
-
-    fn select_spare(&self, cell: GridCoord, target: GridCoord) -> Option<NodeId> {
-        if self.net.spare_count(cell).ok()? == 0 {
-            return None;
-        }
-        let spares = self.net.spare_iter(cell).ok()?;
-        let center = self
-            .net
-            .system()
-            .cell_center(target)
-            .expect("targets are cells");
-        match self.config.spare_selection {
-            SpareSelection::FirstId => spares.min(),
-            SpareSelection::ClosestToTarget => spares.min_by(|&a, &b| {
-                let da = self
-                    .net
-                    .node(a)
-                    .expect("deployed")
-                    .position()
-                    .distance_squared(center);
-                let db = self
-                    .net
-                    .node(b)
-                    .expect("deployed")
-                    .position()
-                    .distance_squared(center);
-                da.partial_cmp(&db)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            }),
-            SpareSelection::MaxEnergy => spares.max_by(|&a, &b| {
-                let ea = self.net.node(a).expect("deployed").battery().charge();
-                let eb = self.net.node(b).expect("deployed").battery().charge();
-                ea.partial_cmp(&eb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            }),
-        }
     }
 
     /// Moves `node` into the central area of `target`; elects it head if
@@ -480,7 +420,11 @@ impl RoundProtocol for ArProtocol {
                 progress = true;
                 continue;
             }
-            if let Some(spare) = self.select_spare(p.asked, p.current_target) {
+            let spare = self
+                .config
+                .spare_selection
+                .select(&self.net, p.asked, p.current_target);
+            if let Some(spare) = spare {
                 self.execute_move(p.id, spare, p.current_target, round);
                 self.metrics.processes_converged += 1;
                 self.trace.record(

@@ -1,16 +1,19 @@
 //! Conformance battery for the event-driven message-passing engine.
 //!
-//! The engine ([`wsn_coverage::actor`]) re-implements SR and SR-SC as
+//! The event drive attaches a network link ([`wsn_coverage::link`]) to
+//! the one SR and SR-SC protocol each scheme has, turning them into
 //! genuine distributed protocols — typed envelopes through a network
-//! model, a virtual-clock scheduler, per-cell actors. The honesty
-//! argument: under [`NetModelSpec::Ideal`] every envelope arrives at
-//! the start of the next round, which is exactly when the classic
-//! lock-step runner would have acted on it, so the event engine must
+//! model on a virtual-clock scheduler. The honesty argument: under
+//! [`NetModelSpec::Ideal`] every envelope arrives at the start of the
+//! next round, which is exactly when the classic lock-step runner
+//! would have acted on it, so the event engine must
 //! reproduce the classic runner's reports **byte for byte** — same
 //! metrics (including `rounds`), same per-process summaries, same
 //! RNG draw order. This suite pins that equivalence across the same
 //! scenario grid the change-driven conformance suite uses (single-cycle
-//! and dual-path grids, masked regions, mid-run faults), then pins the
+//! and dual-path grids, masked regions, mid-run faults, and the SR knobs
+//! that draw from the run RNG or reshape heads: asynchronous
+//! activation, battery dynamics, head rotation), then pins the
 //! paper's two message-complexity claims as trace-count equalities, and
 //! finally checks the engine is honest about *degraded* weather: a
 //! seeded 30%-loss run must report the pathologies (duplicate
@@ -20,7 +23,7 @@
 use proptest::prelude::*;
 use wsn_baselines::builtins;
 use wsn_coverage::scheme::{DriveMode, NetworkSpec};
-use wsn_coverage::{EventScRecovery, EventSrRecovery, Recovery, ShortcutRecovery, SrConfig};
+use wsn_coverage::{Recovery, ShortcutRecovery, SrConfig};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask};
 use wsn_simcore::{FaultEvent, FaultPlan, NetModelSpec, SimRng, TraceEvent};
 
@@ -76,13 +79,10 @@ fn sr_event_ideal_reproduces_the_classic_report_across_the_scenario_grid() {
             let classic = Recovery::new(mk(), SrConfig::default().with_seed(seed))
                 .expect("topology exists")
                 .run();
-            let event = EventSrRecovery::new(
-                mk(),
-                SrConfig::default().with_seed(seed),
-                NetModelSpec::Ideal,
-            )
-            .expect("topology exists")
-            .run();
+            let event = Recovery::new(mk(), SrConfig::default().with_seed(seed))
+                .expect("topology exists")
+                .with_net_model(NetModelSpec::Ideal)
+                .run();
             // SchemeReport equality covers metrics (rounds included),
             // coverage verdict, per-process summaries and final stats —
             // the full byte-identical contract.
@@ -106,13 +106,10 @@ fn sr_sc_event_ideal_reproduces_the_classic_report_on_cycle_grids() {
             let classic = ShortcutRecovery::new(mk(), SrConfig::default().with_seed(seed))
                 .expect("cycle exists")
                 .run();
-            let event = EventScRecovery::new(
-                mk(),
-                SrConfig::default().with_seed(seed),
-                NetModelSpec::Ideal,
-            )
-            .expect("cycle exists")
-            .run();
+            let event = ShortcutRecovery::new(mk(), SrConfig::default().with_seed(seed))
+                .expect("cycle exists")
+                .with_net_model(NetModelSpec::Ideal)
+                .run();
             assert_eq!(classic, event, "{tag}");
             assert!(event.health.is_clean(), "{tag}: ideal weather is clean");
         }
@@ -139,12 +136,66 @@ fn sr_event_ideal_conformance_holds_under_mid_run_faults() {
         let (net_c, cfg_c) = mk();
         let classic = Recovery::new(net_c, cfg_c).expect("topology").run();
         let (net_e, cfg_e) = mk();
-        let event = EventSrRecovery::new(net_e, cfg_e, NetModelSpec::Ideal)
+        let event = Recovery::new(net_e, cfg_e)
             .expect("topology")
+            .with_net_model(NetModelSpec::Ideal)
             .run();
         assert_eq!(classic, event, "seed {seed}");
         assert!(event.metrics.rounds > 3, "seed {seed}: fault round ran");
     }
+}
+
+/// Classic vs event-`Ideal` SR on the scenario grid under `cfg`'s knobs:
+/// the full report (metrics, rounds included) must match.
+fn assert_sr_knob_conformance(knob: &str, cfg: impl Fn(u64) -> SrConfig) {
+    for (cols, rows, holes, per_cell) in scenario_grid() {
+        for seed in [11u64, 47] {
+            let tag = format!("SR {knob} {cols}x{rows} holes={holes} seed={seed}");
+            let mk = || seeded_network(cols, rows, holes, per_cell, seed);
+            let classic = Recovery::new(mk(), cfg(seed)).expect("topology").run();
+            let event = Recovery::new(mk(), cfg(seed))
+                .expect("topology")
+                .with_net_model(NetModelSpec::Ideal)
+                .run();
+            assert_eq!(classic, event, "{tag}");
+            assert!(event.health.is_clean(), "{tag}: ideal weather is clean");
+        }
+    }
+}
+
+#[test]
+fn sr_event_ideal_conformance_holds_in_asynchronous_mode() {
+    // Activation draws come from the run RNG in both drives; probes
+    // and notifications must not reorder them.
+    assert_sr_knob_conformance("async", |seed| {
+        SrConfig::default()
+            .with_seed(seed)
+            .with_activation_probability(0.4)
+    });
+}
+
+#[test]
+fn sr_event_ideal_conformance_holds_with_battery_dynamics() {
+    // Movers and heads pay from their batteries; a long empty fault
+    // horizon keeps the per-round idle drain running in both drives.
+    assert_sr_knob_conformance("battery", |seed| {
+        SrConfig::default()
+            .with_seed(seed)
+            .with_battery_dynamics(true)
+            .with_fault_plan(FaultPlan::new().at(60, FaultEvent::KillNodes(vec![])))
+    });
+}
+
+#[test]
+fn sr_event_ideal_conformance_holds_with_head_rotation() {
+    // Random re-election draws from the run RNG, so a rotation the
+    // event drive skipped or reordered would show.
+    assert_sr_knob_conformance("rotation", |seed| {
+        SrConfig::default()
+            .with_seed(seed)
+            .with_election(wsn_grid::HeadElection::Random)
+            .with_head_rotation(2)
+    });
 }
 
 #[test]
@@ -227,13 +278,10 @@ proptest! {
         let classic = Recovery::new(mk(), SrConfig::default().with_seed(seed))
             .expect("grids >= 3x4 have a replacement structure")
             .run();
-        let event = EventSrRecovery::new(
-            mk(),
-            SrConfig::default().with_seed(seed),
-            NetModelSpec::Ideal,
-        )
-        .expect("grids >= 3x4 have a replacement structure")
-        .run();
+        let event = Recovery::new(mk(), SrConfig::default().with_seed(seed))
+            .expect("grids >= 3x4 have a replacement structure")
+            .with_net_model(NetModelSpec::Ideal)
+            .run();
         prop_assert_eq!(classic, event);
     }
 }
@@ -254,12 +302,12 @@ fn one_message_per_backward_hop_under_ideal_weather() {
             )
             .expect("topology")
             .run();
-            let mut event = EventSrRecovery::new(
+            let mut event = Recovery::new(
                 seeded_network(cols, rows, holes, per_cell, seed),
                 SrConfig::default().with_seed(seed).with_trace(true),
-                NetModelSpec::Ideal,
             )
-            .expect("topology");
+            .expect("topology")
+            .with_net_model(NetModelSpec::Ideal);
             let report = event.run();
             let announces = event
                 .trace()
@@ -284,12 +332,12 @@ fn single_initiation_per_hole_under_ideal_weather() {
     for (cols, rows, holes, per_cell) in scenario_grid() {
         for seed in [11u64, 47] {
             let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
-            let mut event = EventSrRecovery::new(
+            let mut event = Recovery::new(
                 seeded_network(cols, rows, holes, per_cell, seed),
                 SrConfig::default().with_seed(seed).with_trace(true),
-                NetModelSpec::Ideal,
             )
-            .expect("topology");
+            .expect("topology")
+            .with_net_model(NetModelSpec::Ideal);
             let report = event.run();
             let initiated = event.trace().count_kind("process_initiated") as u64;
             assert_eq!(initiated, holes as u64, "{tag}");
@@ -312,13 +360,10 @@ fn seeded_lossy_weather_breaks_the_single_initiation_guarantee() {
     let mut lost = 0u64;
     let mut dropped = 0u64;
     for seed in 0..24 {
-        let report = EventSrRecovery::new(
-            cascade_network(seed),
-            SrConfig::default().with_seed(seed),
-            spec,
-        )
-        .expect("topology")
-        .run();
+        let report = Recovery::new(cascade_network(seed), SrConfig::default().with_seed(seed))
+            .expect("topology")
+            .with_net_model(spec)
+            .run();
         duplicates += report.health.duplicate_initiations;
         lost += report.health.lost_cascades;
         dropped += report.health.messages_dropped;

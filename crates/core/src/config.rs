@@ -3,8 +3,9 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use wsn_grid::HeadElection;
+use wsn_grid::{GridCoord, GridNetwork, HeadElection};
 use wsn_simcore::fault::FaultPlan;
+use wsn_simcore::NodeId;
 
 /// Strategy for choosing which spare of a cell moves into the hole.
 ///
@@ -21,6 +22,50 @@ pub enum SpareSelection {
     FirstId,
     /// The spare with the most battery left (spreads movement wear).
     MaxEnergy,
+}
+
+impl SpareSelection {
+    /// Picks the spare of `cell` that moves into `target` under this
+    /// policy, or `None` when `cell` holds no spare. The one spare
+    /// choice behind SR, SR-SC (always [`SpareSelection::FirstId`]) and
+    /// AR.
+    #[inline]
+    pub fn select(self, net: &GridNetwork, cell: GridCoord, target: GridCoord) -> Option<NodeId> {
+        if net.spare_count(cell).ok()? == 0 {
+            return None;
+        }
+        let spares = net.spare_iter(cell).ok()?;
+        match self {
+            SpareSelection::FirstId => spares.min(),
+            SpareSelection::ClosestToTarget => {
+                let center = net
+                    .system()
+                    .cell_center(target)
+                    .expect("targets are in-bounds cells");
+                let dist = |id: NodeId| {
+                    net.node(id)
+                        .expect("spares are deployed")
+                        .position()
+                        .distance_squared(center)
+                };
+                spares.min_by(|&a, &b| {
+                    dist(a)
+                        .partial_cmp(&dist(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                })
+            }
+            SpareSelection::MaxEnergy => {
+                let charge = |id: NodeId| net.node(id).expect("deployed").battery().charge();
+                spares.max_by(|&a, &b| {
+                    charge(a)
+                        .partial_cmp(&charge(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(b.cmp(&a))
+                })
+            }
+        }
+    }
 }
 
 impl fmt::Display for SpareSelection {
@@ -53,7 +98,9 @@ pub struct SrConfig {
     pub seed: u64,
     /// Head-election policy (initial election and local repairs).
     pub election: HeadElection,
-    /// Spare-selection policy within a cell.
+    /// Spare-selection policy within a cell. SR-SC ignores it and
+    /// always dispatches the lowest-id spare
+    /// ([`SpareSelection::FirstId`]).
     pub spare_selection: SpareSelection,
     /// Round cap for the run (default 100 000 — far above any converging
     /// scenario in the paper's parameter ranges).

@@ -23,6 +23,20 @@
 //! (Theorem 1 / Corollary 1), and the expected number of movements per
 //! replacement is given by Theorem 2 (module [`analysis`]).
 //!
+//! # One protocol per scheme, two drives
+//!
+//! SR ([`SrProtocol`], driven by [`Recovery`]) and its short-cut
+//! extension SR-SC ([`ShortcutProtocol`], driven by
+//! [`ShortcutRecovery`], module [`shortcut`]) each have exactly one
+//! implementation. By default it runs the paper's synchronous round
+//! model. Attaching a network link (`with_net_model`, module [`link`])
+//! gives the event drive: probes and notifications become envelopes
+//! that a [`wsn_simcore::NetModelSpec`] can delay or drop, and the
+//! report's `health` ledger counts the damage. Under
+//! [`wsn_simcore::NetModelSpec::Ideal`] both drives produce identical
+//! reports. The uniform [`scheme`] API selects the drive through
+//! [`DriveMode`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -45,9 +59,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actor;
 pub mod analysis;
 mod config;
+pub mod link;
 pub mod movement;
 mod process;
 mod protocol;
@@ -55,7 +69,6 @@ mod recovery;
 pub mod scheme;
 pub mod shortcut;
 
-pub use actor::{EventScRecovery, EventSrProtocol, EventSrRecovery};
 pub use config::{SpareSelection, SrConfig};
 pub use process::{ProcessId, ProcessStatus, ProcessSummary};
 pub use protocol::{DetectionOutcome, SrProtocol};

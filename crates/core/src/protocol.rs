@@ -29,19 +29,30 @@
 //! Within a round, processes act in id order; this sequential resolution
 //! is deterministic and only matters in the rare dual-path corner where
 //! two processes share an asked cell (`C` watches both `A` and `B`).
+//!
+//! # Under the event drive
+//!
+//! [`SrProtocol::with_net_model`] attaches a network link
+//! ([`crate::link`]): probes, backward notifications and move acks then
+//! travel as envelopes that can be delayed or lost. Envelopes due this
+//! round are delivered before the faults fire (step 0); a process acts
+//! only while its asked head holds the notification; a monitor detects
+//! only what its probe reports. Under [`wsn_simcore::NetModelSpec::Ideal`]
+//! the run is draw-for-draw the classic one.
 
 use std::collections::HashSet;
 
 use wsn_grid::{GridCoord, GridError, GridNetwork, HoleSet};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{
-    ChangeDrivenProtocol, EnergyModel, Metrics, NodeId, RoundOutcome, RoundProtocol, SimRng,
-    TraceEvent, TraceLog,
+    ChangeDrivenProtocol, EnergyModel, Metrics, NetModelSpec, NodeId, ProtocolHealth, RoundOutcome,
+    RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
+use crate::link::{Baton, EventState};
 use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
-use crate::{SpareSelection, SrConfig};
+use crate::SrConfig;
 
 /// Internal outcome of resolving the next backward hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +129,13 @@ struct ActiveProcess {
     current_vacant: GridCoord,
     /// The cell whose head must act next.
     asked: GridCoord,
+    /// Whether the asked head holds the notification (always, without a
+    /// link).
+    baton: Baton,
+    /// Round in which `current_vacant` was vacated by a relay — the
+    /// one-round window in which its monitor may not yet have observed
+    /// the vacancy (so detection does not treat it as unowned).
+    vacated_round: Option<u64>,
 }
 
 /// The SR protocol over a network and cycle topology; drives itself one
@@ -152,6 +170,10 @@ pub struct SrProtocol {
     pending_holes: HoleSet,
     /// Scratch buffer reused by detection sweeps (no per-round allocs).
     detect_buf: Vec<usize>,
+    /// The network link and envelopes in flight under the event drive
+    /// ([`SrProtocol::with_net_model`]); `None` in the classic drive,
+    /// where detection and notification are axiomatic.
+    event: Option<EventState>,
 }
 
 impl SrProtocol {
@@ -194,7 +216,40 @@ impl SrProtocol {
             failed_holes: HashSet::new(),
             pending_holes,
             detect_buf: Vec::new(),
+            event: None,
         }
+    }
+
+    /// Like [`SrProtocol::new`] but with every probe and notification
+    /// routed through `spec`'s network model (see [`crate::link`]).
+    /// Under [`NetModelSpec::Ideal`] runs are identical to classic runs.
+    ///
+    /// # Panics
+    ///
+    /// As [`SrProtocol::new`].
+    pub fn with_net_model(
+        net: GridNetwork,
+        topo: CycleTopology,
+        config: SrConfig,
+        spec: NetModelSpec,
+    ) -> SrProtocol {
+        let mut p = SrProtocol::new(net, topo, config);
+        p.attach_net_model(spec);
+        p
+    }
+
+    /// Attaches `spec`'s link (the event drive) to a fresh protocol.
+    pub(crate) fn attach_net_model(&mut self, spec: NetModelSpec) {
+        self.event = Some(EventState::new(spec, self.config.seed));
+    }
+
+    /// The distributed-health ledger accumulated by the network link
+    /// (all-zero in the classic drive).
+    pub fn health(&self) -> ProtocolHealth {
+        self.event
+            .as_ref()
+            .map(|ev| ev.link.health)
+            .unwrap_or_default()
     }
 
     /// The network state (read access; advanced by rounds).
@@ -234,18 +289,27 @@ impl SrProtocol {
 
     /// Marks all still-active processes failed (called by the driver
     /// after quiescence/round-cap: anything still active is stuck behind
-    /// an unfillable hole).
+    /// an unfillable hole). Under the event drive, processes whose
+    /// notification was in flight or lost are additionally counted as
+    /// [`ProtocolHealth::stalled_repairs`].
     pub fn fail_remaining(&mut self, round: u64) {
         for p in self.active.drain(..) {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
             self.metrics.processes_failed += 1;
+            let reason = match &mut self.event {
+                Some(ev) if p.baton != Baton::Held => {
+                    ev.link.health.stalled_repairs += 1;
+                    "notification lost in the network (run ended)"
+                }
+                _ => "no reachable spare (run ended)",
+            };
             self.trace.record(
                 round,
                 TraceEvent::ProcessFailed {
                     process: p.id.raw(),
-                    reason: "no reachable spare (run ended)".into(),
+                    reason: reason.into(),
                 },
             );
         }
@@ -257,45 +321,6 @@ impl SrProtocol {
 
     fn is_occupied(&self, cell: GridCoord) -> bool {
         !self.net.is_vacant(cell).unwrap_or(true)
-    }
-
-    fn select_spare(&mut self, cell: GridCoord, target: GridCoord) -> Option<NodeId> {
-        if self.net.spare_count(cell).ok()? == 0 {
-            return None;
-        }
-        let spares = self.net.spare_iter(cell).ok()?;
-        let target_center = self
-            .net
-            .system()
-            .cell_center(target)
-            .expect("targets are in-bounds cells");
-        match self.config.spare_selection {
-            SpareSelection::FirstId => spares.min(),
-            SpareSelection::ClosestToTarget => spares.min_by(|&a, &b| {
-                let da = self
-                    .net
-                    .node(a)
-                    .expect("spares are deployed")
-                    .position()
-                    .distance_squared(target_center);
-                let db = self
-                    .net
-                    .node(b)
-                    .expect("spares are deployed")
-                    .position()
-                    .distance_squared(target_center);
-                da.partial_cmp(&db)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            }),
-            SpareSelection::MaxEnergy => spares.max_by(|&a, &b| {
-                let ea = self.net.node(a).expect("deployed").battery().charge();
-                let eb = self.net.node(b).expect("deployed").battery().charge();
-                ea.partial_cmp(&eb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            }),
-        }
     }
 
     /// Moves `node` into the central area of `target`, charges energy,
@@ -383,10 +408,62 @@ impl SrProtocol {
         }
     }
 
+    /// Terminates process `i` because its target vacancy was already
+    /// refilled by a duplicate when its notification (re)surfaced —
+    /// event drive only.
+    fn terminate_superseded(&mut self, i: usize, round: u64) {
+        let p = self.active.remove(i);
+        let s = &mut self.summaries[p.id.raw() as usize];
+        s.status = ProcessStatus::Failed;
+        s.ended_round = Some(round);
+        self.metrics.processes_failed += 1;
+        if let Some(ev) = &mut self.event {
+            ev.link.health.superseded_repairs += 1;
+        }
+        self.trace.record(
+            round,
+            TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: "superseded by a duplicate repair".into(),
+            },
+        );
+    }
+
+    /// Delivers every envelope due this round (event drive only).
+    /// Returns `true` when a delivery ended a process (superseded
+    /// repairs — unreachable under `Ideal`, where no duplicates exist
+    /// to race the notification).
+    fn drain_due(&mut self, round: u64) -> bool {
+        let mut progress = false;
+        while let Some(process) = self.event.as_mut().and_then(|ev| ev.next_due_baton(round)) {
+            let Some(i) = self.active.iter().position(|p| p.id.raw() == process) else {
+                continue;
+            };
+            if self.is_occupied(self.active[i].current_vacant) {
+                self.terminate_superseded(i, round);
+                progress = true;
+            } else {
+                self.active[i].baton = Baton::Held;
+            }
+        }
+        progress
+    }
+
     /// One action for one process. Returns `true` when the process made
     /// progress (moved or ended), `false` when it waited.
     fn step_process(&mut self, idx: usize, round: u64) -> bool {
         let p = self.active[idx].clone();
+        if p.baton != Baton::Held {
+            // The asked head has not received the notification yet (or
+            // never will); nothing to act on.
+            return false;
+        }
+        if self.event.is_some() && self.is_occupied(p.current_vacant) {
+            // A duplicate repair filled the target while the notification
+            // sat here (unreachable under `Ideal`).
+            self.terminate_superseded(idx, round);
+            return true;
+        }
         // A vacant asked cell means the notification target does not
         // exist yet (paper step 3(b)); wait for that hole's own process.
         if !self.is_occupied(p.asked) {
@@ -400,8 +477,18 @@ impl SrProtocol {
         {
             return true;
         }
-        if let Some(spare) = self.select_spare(p.asked, p.current_vacant) {
+        let spare = self
+            .config
+            .spare_selection
+            .select(&self.net, p.asked, p.current_vacant);
+        if let Some(spare) = spare {
             // Algorithm 1 step 2: a spare fills the vacancy; converge.
+            // Head → co-located spare: ask, then order the move. One
+            // radio neighborhood, so neither message can be lost.
+            if let Some(ev) = &mut self.event {
+                ev.link.local(); // SpareRequest
+                ev.link.local(); // MoveNotify
+            }
             let d = self
                 .execute_move(p.id, spare, p.current_vacant, round)
                 .expect("spare moves to an in-bounds adjacent cell");
@@ -420,6 +507,9 @@ impl SrProtocol {
                 },
             );
             self.active.remove(idx);
+            if let Some(ev) = &mut self.event {
+                ev.ack(&self.net, &mut self.trace, p.current_vacant, p.asked, round);
+            }
             return true;
         }
         // Algorithm 1 step 3: no spare — notify backward, relay forward.
@@ -436,6 +526,17 @@ impl SrProtocol {
                         to: next_asked.into(),
                     },
                 );
+                // The relaying head moves regardless of the notification's
+                // fate: it committed the moment it sent it (the honest
+                // failure mode — a lost notification, not a clairvoyant
+                // abort).
+                let baton = match &mut self.event {
+                    Some(ev) => {
+                        let id = p.id.raw();
+                        ev.announce(&self.net, &mut self.trace, id, p.asked, next_asked, round)
+                    }
+                    None => Baton::Held,
+                };
                 let head = self
                     .net
                     .head_of(p.asked)
@@ -451,6 +552,8 @@ impl SrProtocol {
                 let ap = &mut self.active[idx];
                 ap.current_vacant = p.asked;
                 ap.asked = next_asked;
+                ap.vacated_round = Some(round);
+                ap.baton = baton;
                 true
             }
             BackwardResolution::Exhausted => {
@@ -478,6 +581,13 @@ impl SrProtocol {
     /// already owned by an active process is detected by its unique
     /// monitoring head. Sweeps the journal-maintained pending-hole set
     /// (row-major, like the full scan it replaced) rather than the grid.
+    ///
+    /// Under the event drive a hole is *owned* only while its process
+    /// holds the notification or vacated it this very round — a stale
+    /// owner (notification in flight or lost) is invisible to the
+    /// monitor, which honestly re-initiates
+    /// ([`ProtocolHealth::duplicate_initiations`]) once its probe gets
+    /// through.
     fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
         self.net.fold_changed_cells_into(&mut self.pending_holes);
         let mut buf = std::mem::take(&mut self.detect_buf);
@@ -490,7 +600,9 @@ impl SrProtocol {
             if self.failed_holes.contains(&g) {
                 continue; // unfillable until the network changes
             }
-            if self.active.iter().any(|p| p.current_vacant == g) {
+            if self.active.iter().any(|p| {
+                p.current_vacant == g && (p.baton == Baton::Held || p.vacated_round == Some(round))
+            }) {
                 continue; // the cascade for this cell is already running
             }
             let monitor = self.topo.monitors(g);
@@ -499,6 +611,14 @@ impl SrProtocol {
                 // is repaired (sequential recovery of hole runs).
                 continue;
             }
+            if let Some(ev) = &mut self.event {
+                if !ev.probe(&self.net, &mut self.trace, monitor, g, round) {
+                    // The weather ate the probe; the monitor retries next
+                    // round. Still outstanding work.
+                    outcome.pending += 1;
+                    continue;
+                }
+            }
             if self.config.activation_probability < 1.0
                 && !self.rng.bernoulli(self.config.activation_probability)
             {
@@ -506,6 +626,13 @@ impl SrProtocol {
                 // round; the vacancy is deferred, not initiated.
                 outcome.pending += 1;
                 continue;
+            }
+            if let Some(ev) = &mut self.event {
+                if self.active.iter().any(|p| p.current_vacant == g) {
+                    // A stale owner exists after all: this initiation
+                    // duplicates a cascade the monitor could not observe.
+                    ev.link.health.duplicate_initiations += 1;
+                }
             }
             self.trace.record(
                 round,
@@ -531,6 +658,8 @@ impl SrProtocol {
                 hole: g,
                 current_vacant: g,
                 asked: monitor,
+                baton: Baton::Held,
+                vacated_round: None,
             });
             self.metrics.processes_initiated += 1;
             self.trace.record(
@@ -586,7 +715,9 @@ impl ChangeDrivenProtocol for SrProtocol {
 
 impl RoundProtocol for SrProtocol {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
-        let mut progress = false;
+        // 0. Under the event drive, envelopes due this round arrive
+        //    before anyone acts.
+        let mut progress = self.drain_due(round);
 
         // 1. Scheduled faults fire at the start of the round.
         let fault_events: Vec<_> = self.config.fault_plan.events_at(round).cloned().collect();
@@ -681,6 +812,10 @@ impl RoundProtocol for SrProtocol {
             .last_round()
             .is_some_and(|r| r > round);
 
+        // In-flight envelopes are scheduled work: a run must not go
+        // quiescent while a notification is still in the air.
+        progress |= self.event.as_ref().is_some_and(EventState::in_flight);
+
         self.metrics.rounds = round + 1;
         if progress {
             RoundOutcome::Progress
@@ -693,6 +828,7 @@ impl RoundProtocol for SrProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Recovery;
     use wsn_grid::{deploy, GridSystem, HeadElection};
     use wsn_simcore::RoundRunner;
 
@@ -1148,5 +1284,156 @@ mod tests {
         let net = GridNetwork::new(sys, &[]);
         let topo = CycleTopology::build(6, 6).unwrap();
         let _ = SrProtocol::new(net, topo, SrConfig::default());
+    }
+
+    fn network_with_holes(
+        cols: u16,
+        rows: u16,
+        holes: &[GridCoord],
+        per_cell: usize,
+        seed: u64,
+    ) -> GridNetwork {
+        let sys = GridSystem::new(cols, rows, 4.4721).unwrap();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let pos = deploy::with_holes(&sys, holes, per_cell, &mut rng);
+        GridNetwork::new(sys, &pos)
+    }
+
+    /// One spare in a far corner so every repair is a long cascade —
+    /// the regime where the network actually carries notifications.
+    fn cascade_network(seed: u64) -> GridNetwork {
+        let sys = GridSystem::new(8, 8, 4.4721).unwrap();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let hole = GridCoord::new(4, 4);
+        let mut pos = deploy::with_holes(&sys, &[hole], 1, &mut rng);
+        pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
+        GridNetwork::new(sys, &pos)
+    }
+
+    #[test]
+    fn ideal_sr_matches_classic_byte_for_byte() {
+        for (holes, seed) in [
+            (vec![GridCoord::new(2, 2)], 1u64),
+            (
+                vec![
+                    GridCoord::new(0, 0),
+                    GridCoord::new(3, 1),
+                    GridCoord::new(1, 3),
+                ],
+                7,
+            ),
+        ] {
+            let net = network_with_holes(6, 6, &holes, 2, seed);
+            let cfg = SrConfig::default().with_seed(seed).with_trace(true);
+            let classic = Recovery::new(net.clone(), cfg.clone()).unwrap().run();
+            let mut event = Recovery::new(net, cfg)
+                .unwrap()
+                .with_net_model(NetModelSpec::Ideal);
+            let report = event.run();
+            assert_eq!(report, classic, "seed {seed}");
+            assert_eq!(report.metrics, classic.metrics, "rounds included");
+            assert!(report.health.is_clean());
+            assert!(report.health.messages_sent > 0);
+            event.network().debug_invariants();
+        }
+    }
+
+    #[test]
+    fn ideal_sr_matches_classic_under_faults_and_cascades() {
+        use wsn_simcore::fault::{FaultEvent, FaultPlan};
+        let mk = || {
+            let net = cascade_network(3);
+            let victims: Vec<NodeId> = net.members(GridCoord::new(6, 6)).unwrap().to_vec();
+            let cfg = SrConfig::default()
+                .with_seed(3)
+                .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims)));
+            (net, cfg)
+        };
+        let (net, cfg) = mk();
+        let classic = Recovery::new(net, cfg).unwrap().run();
+        let (net, cfg) = mk();
+        let event = Recovery::new(net, cfg)
+            .unwrap()
+            .with_net_model(NetModelSpec::Ideal)
+            .run();
+        assert_eq!(event, classic);
+        assert_eq!(event.metrics, classic.metrics);
+    }
+
+    #[test]
+    fn ideal_sr_matches_classic_on_dual_path_grids() {
+        let net = network_with_holes(5, 5, &[GridCoord::new(2, 2), GridCoord::new(4, 0)], 2, 17);
+        let cfg = SrConfig::default().with_seed(17);
+        let classic = Recovery::new(net.clone(), cfg.clone()).unwrap().run();
+        let event = Recovery::new(net, cfg)
+            .unwrap()
+            .with_net_model(NetModelSpec::Ideal)
+            .run();
+        assert_eq!(event, classic);
+        assert_eq!(event.metrics, classic.metrics);
+    }
+
+    #[test]
+    fn fixed_latency_still_recovers() {
+        let net = cascade_network(5);
+        let spec = NetModelSpec::FixedLatency { ticks: 3 };
+        let mut rec = Recovery::new(net, SrConfig::default().with_seed(5))
+            .unwrap()
+            .with_net_model(spec);
+        let report = rec.run();
+        assert!(report.fully_covered, "{report}");
+        assert_eq!(report.health.messages_dropped, 0);
+        rec.network().debug_invariants();
+    }
+
+    #[test]
+    fn lossy_sr_reports_duplicates_and_lost_cascades() {
+        let spec = NetModelSpec::Bernoulli {
+            loss_ppm: 300_000,
+            latency: 1,
+        };
+        let mut duplicates = 0u64;
+        let mut lost = 0u64;
+        for seed in 0..24 {
+            let net = cascade_network(seed);
+            let report = Recovery::new(net, SrConfig::default().with_seed(seed))
+                .unwrap()
+                .with_net_model(spec)
+                .run();
+            duplicates += report.health.duplicate_initiations;
+            lost += report.health.lost_cascades;
+        }
+        assert!(lost > 0, "30% loss must drop some cascade notification");
+        assert!(
+            duplicates > 0,
+            "a lost baton must provoke a duplicate initiation"
+        );
+    }
+
+    #[test]
+    fn total_loss_prevents_detection_entirely() {
+        let spec = NetModelSpec::Bernoulli {
+            loss_ppm: 1_000_000,
+            latency: 1,
+        };
+        let net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 9);
+        let cfg = SrConfig::default().with_seed(9).with_max_rounds(40);
+        let report = Recovery::new(net, cfg).unwrap().with_net_model(spec).run();
+        assert!(!report.fully_covered);
+        assert_eq!(report.metrics.processes_initiated, 0);
+        assert!(report.health.messages_dropped > 0);
+    }
+
+    #[test]
+    fn traces_carry_the_message_choreography() {
+        let net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 11);
+        let cfg = SrConfig::default().with_seed(11).with_trace(true);
+        let mut rec = Recovery::new(net, cfg)
+            .unwrap()
+            .with_net_model(NetModelSpec::Ideal);
+        let report = rec.run();
+        assert!(report.fully_covered);
+        let net_msgs = rec.trace().count_kind("net_message");
+        assert!(net_msgs > 0, "probes and acks must be traced");
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 
 use wsn_grid::GridNetwork;
 use wsn_hamilton::{CycleTopology, HamiltonError};
-use wsn_simcore::{EngineError, RoundRunner, TraceLog};
+use wsn_simcore::{EngineError, NetModelSpec, RoundRunner, TraceLog};
 
 use crate::scheme::{SchemeDetails, SchemeReport};
 use crate::{SrConfig, SrProtocol};
@@ -122,6 +122,15 @@ impl Recovery {
         })
     }
 
+    /// Attaches `spec`'s network link: the event drive
+    /// ([`crate::DriveMode::EventDriven`], see [`crate::link`]). The
+    /// report's [`SchemeReport::health`] then carries the link's ledger.
+    #[must_use]
+    pub fn with_net_model(mut self, spec: NetModelSpec) -> Recovery {
+        self.protocol.attach_net_model(spec);
+        self
+    }
+
     /// Runs to quiescence (or the round cap) and reports.
     pub fn run(&mut self) -> SchemeReport {
         let initial_stats = self.protocol.network().stats();
@@ -135,7 +144,7 @@ impl Recovery {
             final_stats,
             fully_covered: final_stats.vacant == 0,
             processes: self.protocol.process_summaries().to_vec(),
-            health: wsn_simcore::ProtocolHealth::default(),
+            health: self.protocol.health(),
             details: SchemeDetails::none(),
         }
     }
@@ -165,7 +174,7 @@ impl Recovery {
             final_stats,
             fully_covered: final_stats.vacant == 0,
             processes: self.protocol.process_summaries().to_vec(),
-            health: wsn_simcore::ProtocolHealth::default(),
+            health: self.protocol.health(),
             details: SchemeDetails::none(),
         }
     }

@@ -120,7 +120,6 @@ use wsn_grid::{GridNetwork, GridSystem, NetworkStats, RegionMask};
 use wsn_hamilton::CycleTopology;
 use wsn_simcore::{Metrics, NetModelSpec, ProtocolHealth, RunReport, TraceLog};
 
-use crate::actor::{EventScRecovery, EventSrRecovery};
 use crate::process::ProcessSummary;
 use crate::recovery::{Recovery, SrError};
 use crate::shortcut::ShortcutRecovery;
@@ -919,20 +918,14 @@ impl Sr {
         if traced {
             config = config.with_trace(true);
         }
-        if let DriveMode::EventDriven { net: spec } = mode {
-            let mut recovery = EventSrRecovery::with_topology(owned, topo, config, spec)
-                .expect("round caps pre-validated");
-            let report = recovery.run();
-            let trace = recovery.trace().clone();
-            *net = recovery.into_network();
-            return Ok((report, trace));
-        }
         let mut recovery =
             Recovery::with_topology(owned, topo, config).expect("round caps pre-validated");
+        if let DriveMode::EventDriven { net: spec } = mode {
+            recovery = recovery.with_net_model(spec);
+        }
         let report = match mode {
-            DriveMode::Classic => recovery.run(),
             DriveMode::ChangeDriven => recovery.run_adaptive(),
-            DriveMode::EventDriven { .. } => unreachable!("routed above"),
+            DriveMode::Classic | DriveMode::EventDriven { .. } => recovery.run(),
         };
         let trace = recovery.trace().clone();
         *net = recovery.into_network();
@@ -1036,7 +1029,7 @@ impl SrSc {
         if mode == DriveMode::ChangeDriven {
             return Err(Unsupported::new(
                 self.id(),
-                "SR-SC has no change-driven driver (the gossip gradient needs every round)",
+                "SR-SC has no change-driven driver (its heads beacon every round)",
             ));
         }
         let topo = CycleTopology::build_masked(net.mask())
@@ -1053,16 +1046,11 @@ impl SrSc {
         if traced {
             config = config.with_trace(true);
         }
-        if let DriveMode::EventDriven { net: spec } = mode {
-            let mut recovery = EventScRecovery::with_topology(owned, topo, config, spec)
-                .expect("pre-validated ring and round caps");
-            let report = recovery.run();
-            let trace = recovery.trace().clone();
-            *net = recovery.into_network();
-            return Ok((report, trace));
-        }
         let mut recovery = ShortcutRecovery::with_topology(owned, topo, config)
             .expect("pre-validated ring and round caps");
+        if let DriveMode::EventDriven { net: spec } = mode {
+            recovery = recovery.with_net_model(spec);
+        }
         let report = recovery.run();
         let trace = recovery.trace().clone();
         *net = recovery.into_network();

@@ -8,23 +8,25 @@
 //! This module implements one concrete such construction, staying within
 //! the paper's 1-hop communication model:
 //!
-//! * Every head maintains a **spare-distance gradient** along the
-//!   directed Hamilton cycle: `dist(u) = 0` if `u`'s cell holds a spare,
-//!   else `1 + dist(pred(u))`, refreshed by one gossip exchange with the
-//!   predecessor per round (the same link the replacement notifications
-//!   already use). The field converges in at most `L` rounds and is
-//!   maintained incrementally afterwards.
-//! * When a hole is detected, the notification is forwarded backward
-//!   hop-by-hop exactly `dist` hops — no head needs to *move* to keep the
-//!   search going — and the spare found there travels **straight across
+//! * When a hole is detected, its monitor (the hole's predecessor on the
+//!   directed Hamilton cycle) forwards the notification backward
+//!   hop-by-hop along the cycle — one message per hop, no head *moves*
+//!   to keep the search going — until it reaches a head whose cell holds
+//!   a spare. That walk is the shortest backward path to a spare.
+//! * The spare found there (the lowest-id one) travels **straight across
 //!   the grid** to the hole: one movement per replacement instead of
 //!   Theorem 2's `M(L, N)`, and a chord-length distance instead of a
 //!   path-length one.
+//! * Every round each spare-less head exchanges a beacon with its
+//!   predecessor (the same link the notifications use), billed as one
+//!   scanned cell per on-ring cell so the scan-cost comparison against
+//!   SR's O(changed) detection stays honest. Under the event drive
+//!   ([`crate::link`]) each beacon is a real message through the link.
 //!
 //! Trade-off (quantified by `bench_ablation` and the `figsc` extension
-//! figure): SR-SC pays `dist` extra notification messages and the gossip
-//! overhead, in exchange for collapsing the movement count; at low `N` —
-//! exactly where the paper predicts — the savings are largest. The
+//! figure): SR-SC pays one notification message per backward hop and the
+//! beacon overhead, in exchange for collapsing the movement count; at low
+//! `N` — exactly where the paper predicts — the savings are largest. The
 //! single long straight move also concentrates battery drain on one node
 //! instead of spreading it over the cascade, which is why SR proper
 //! remains the better choice for energy-balanced deployments.
@@ -33,27 +35,28 @@
 //! per cell: single Hamilton cycles and the masked virtual ring of
 //! irregular regions ([`wsn_hamilton::MaskedCycle`]) — so SR-SC runs
 //! unchanged on masked grids. Odd×odd (dual-path) grids are rejected
-//! with [`SrError::ShortcutNeedsCycle`]: extending the gradient over the
+//! with [`SrError::ShortcutNeedsCycle`]: extending the walk over the
 //! A/B fork is possible but the paper's future-work remark targets the
 //! plain cycle.
 
 use wsn_grid::{GridCoord, GridNetwork, NetworkStats};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
 use wsn_simcore::{
-    EnergyModel, Metrics, RoundOutcome, RoundProtocol, RoundRunner, RunReport, SimRng, TraceEvent,
-    TraceLog,
+    EnergyModel, Metrics, NetModelSpec, ProtocolHealth, RoundOutcome, RoundProtocol, RoundRunner,
+    RunReport, SimRng, TraceEvent, TraceLog,
 };
 
+use crate::link::{endpoint, Baton, EventState};
 use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
 use crate::recovery::SrError;
 use crate::scheme::{SchemeDetails, SchemeReport};
-use crate::SrConfig;
+use crate::{DetectionOutcome, SpareSelection, SrConfig};
 
 /// The backward ring SR-SC forwards notifications along: either the
 /// paper's single Hamilton cycle or the masked virtual ring. Both give
-/// every on-ring cell a unique predecessor, which is all the gradient
-/// and the courier walk need.
+/// every on-ring cell a unique predecessor, which is all the courier
+/// walk needs.
 #[derive(Debug, Clone)]
 pub(crate) enum ScRing {
     Cycle(HamiltonCycle),
@@ -94,9 +97,15 @@ struct ScProcess {
     courier: GridCoord,
     /// Hops forwarded so far.
     forwarded: usize,
+    /// Whether the courier head holds the notification (always, without
+    /// a link).
+    baton: Baton,
 }
 
-/// The SR-SC protocol (see the module docs).
+/// The SR-SC protocol (see the module docs). Under the event drive a
+/// dropped courier forward permanently strands the repair: the hole
+/// stays owned by its process, so — unlike SR — no duplicate rescues it
+/// ([`ProtocolHealth::stalled_repairs`]).
 #[derive(Debug, Clone)]
 pub struct ShortcutProtocol {
     net: GridNetwork,
@@ -106,9 +115,6 @@ pub struct ShortcutProtocol {
     trace: TraceLog,
     metrics: Metrics,
     energy: EnergyModel,
-    /// Gossip field: backward hops to the nearest spare, `u32::MAX` when
-    /// unknown/unreachable. Indexed by dense cell index.
-    spare_dist: Vec<u32>,
     active: Vec<ScProcess>,
     summaries: Vec<ProcessSummary>,
     failed_holes: std::collections::HashSet<GridCoord>,
@@ -118,6 +124,9 @@ pub struct ShortcutProtocol {
     pending_holes: wsn_grid::HoleSet,
     /// Scratch buffer reused by detection sweeps.
     detect_buf: Vec<usize>,
+    /// The network link and envelopes in flight under the event drive;
+    /// `None` in the classic drive.
+    event: Option<EventState>,
 }
 
 impl ShortcutProtocol {
@@ -130,8 +139,7 @@ impl ShortcutProtocol {
         } else {
             TraceLog::disabled()
         };
-        let cells = net.system().cell_count();
-        let mut pending_holes = wsn_grid::HoleSet::new(cells);
+        let mut pending_holes = wsn_grid::HoleSet::new(net.system().cell_count());
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
         ShortcutProtocol {
@@ -142,13 +150,27 @@ impl ShortcutProtocol {
             trace,
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
-            spare_dist: vec![u32::MAX; cells],
             active: Vec::new(),
             summaries: Vec::new(),
             failed_holes: std::collections::HashSet::new(),
             pending_holes,
             detect_buf: Vec::new(),
+            event: None,
         }
+    }
+
+    /// Attaches `spec`'s link (the event drive) to a fresh protocol.
+    pub(crate) fn attach_net_model(&mut self, spec: NetModelSpec) {
+        self.event = Some(EventState::new(spec, self.config.seed));
+    }
+
+    /// The distributed-health ledger accumulated by the network link
+    /// (all-zero in the classic drive).
+    pub fn health(&self) -> ProtocolHealth {
+        self.event
+            .as_ref()
+            .map(|ev| ev.link.health)
+            .unwrap_or_default()
     }
 
     /// The network state.
@@ -171,18 +193,27 @@ impl ShortcutProtocol {
         &self.summaries
     }
 
-    /// Marks still-active processes failed (driver calls after the run).
+    /// Marks still-active processes failed (driver calls after the run);
+    /// under the event drive, stranded couriers count as stalled
+    /// repairs.
     pub fn fail_remaining(&mut self, round: u64) {
         for p in self.active.drain(..) {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
             self.metrics.processes_failed += 1;
+            let reason = match &mut self.event {
+                Some(ev) if p.baton != Baton::Held => {
+                    ev.link.health.stalled_repairs += 1;
+                    "notification lost in the network (run ended)"
+                }
+                _ => "no reachable spare (run ended)",
+            };
             self.trace.record(
                 round,
                 TraceEvent::ProcessFailed {
                     process: p.id.raw(),
-                    reason: "no reachable spare (run ended)".into(),
+                    reason: reason.into(),
                 },
             );
         }
@@ -192,57 +223,56 @@ impl ShortcutProtocol {
         self.net.spare_count(cell).unwrap_or(0)
     }
 
-    fn idx(&self, cell: GridCoord) -> usize {
-        self.net
-            .system()
-            .index_of(cell)
-            .expect("cycle cells are in bounds")
+    /// Delivers due envelopes (event drive only); courier notifications
+    /// become actionable.
+    fn drain_due(&mut self, round: u64) {
+        while let Some(process) = self.event.as_mut().and_then(|ev| ev.next_due_baton(round)) {
+            if let Some(p) = self.active.iter_mut().find(|p| p.id.raw() == process) {
+                p.baton = Baton::Held;
+            }
+        }
     }
 
-    /// One synchronous gossip sweep: every head reads its predecessor's
-    /// distance from the previous round. (Computed from a frozen copy,
-    /// exactly as a real per-round beacon exchange would.)
-    fn gossip(&mut self) {
-        let prev = self.spare_dist.clone();
-        let sys = *self.net.system();
-        // The gradient refresh is SR-SC's inherent full sweep (one beacon
-        // read per on-ring cell per round); bill it so the scan-cost
-        // comparison against SR's O(changed) detection stays honest.
+    /// The per-round beacon exchange: every spare-less head hears from
+    /// its predecessor. Billed as one scanned cell per on-ring cell;
+    /// under the event drive each beacon is sensed through the link in
+    /// row-major order, advancing the link's per-pair message counters.
+    fn beacons(&mut self) {
         self.metrics.cells_scanned += self.cycle.len() as u64;
-        for coord in sys.iter_coords() {
-            // Disabled (off-ring) cells have no head and no gradient.
-            if !self.net.is_cell_enabled(coord).unwrap_or(false) {
+        let Some(ev) = &mut self.event else {
+            return;
+        };
+        for coord in self.net.system().iter_coords() {
+            // Disabled (off-ring) cells have no head; vacant cells have
+            // nobody to listen; cells with a spare need no beacon.
+            if !self.net.is_cell_enabled(coord).unwrap_or(false)
+                || self.net.is_vacant(coord).unwrap_or(true)
+                || self.net.spare_count(coord).unwrap_or(0) > 0
+            {
                 continue;
             }
-            let i = self.idx(coord);
-            if self.net.is_vacant(coord).unwrap_or(true) {
-                self.spare_dist[i] = u32::MAX;
-                continue;
-            }
-            self.spare_dist[i] = if self.spare_count(coord) > 0 {
-                0
-            } else {
-                let p = prev[self.idx(self.cycle.predecessor(coord))];
-                p.saturating_add(1)
-            };
+            let pred = self.cycle.predecessor(coord);
+            ev.link
+                .sense(endpoint(&self.net, pred), endpoint(&self.net, coord));
         }
-        // Gossip beacons ride the existing per-round head exchange; the
-        // paper does not bill monitoring beacons, so neither do we.
     }
 
     fn step_process(&mut self, i: usize, round: u64) -> bool {
         let p = self.active[i].clone();
+        if p.baton != Baton::Held {
+            return false;
+        }
         if self.net.is_vacant(p.courier).unwrap_or(true) {
             // Courier cell lost its head (hole run); wait for its repair.
             return false;
         }
         if self.spare_count(p.courier) > 0 {
             // Dispatch: the spare flies straight to the hole.
-            let spare = self
-                .net
-                .spare_iter(p.courier)
-                .expect("in bounds")
-                .min()
+            if let Some(ev) = &mut self.event {
+                ev.link.local(); // SpareRequest to the co-located spare
+            }
+            let spare = SpareSelection::FirstId
+                .select(&self.net, p.courier, p.hole)
                 .expect("non-empty by spare_count");
             let dest = movement_target(self.net.system(), p.hole, &mut self.rng);
             let out = self
@@ -279,6 +309,9 @@ impl ShortcutProtocol {
                 },
             );
             self.active.remove(i);
+            if let Some(ev) = &mut self.event {
+                ev.ack(&self.net, &mut self.trace, p.hole, p.courier, round);
+            }
             return true;
         }
         if p.forwarded >= self.cycle.max_hops() {
@@ -297,19 +330,17 @@ impl ShortcutProtocol {
             self.active.remove(i);
             return true;
         }
-        // Forward the notification one hop backward. The gradient makes
-        // this walk beeline to the nearest spare; when the field is still
-        // cold (MAX) the walk degrades gracefully to SR's blind backward
-        // search — minus the node movements.
+        // Forward the notification one hop backward: SR's backward
+        // search, minus the node movements.
         let next = self.cycle.predecessor(p.courier);
-        if next == p.hole {
-            // Skip over the hole itself (its cell cannot relay or hold
-            // the spare we are looking for).
-            let beyond = self.cycle.predecessor(next);
-            self.active[i].courier = beyond;
+        // Skip over the hole itself (its cell cannot relay or hold the
+        // spare we are looking for).
+        let target = if next == p.hole {
+            self.cycle.predecessor(next)
         } else {
-            self.active[i].courier = next;
-        }
+            next
+        };
+        self.active[i].courier = target;
         self.active[i].forwarded += 1;
         self.metrics.record_message();
         self.metrics.energy += self.energy.message_cost;
@@ -318,18 +349,23 @@ impl ShortcutProtocol {
             TraceEvent::NotificationSent {
                 process: p.id.raw(),
                 from: p.courier.into(),
-                to: self.active[i].courier.into(),
+                to: target.into(),
             },
         );
+        if let Some(ev) = &mut self.event {
+            let id = p.id.raw();
+            self.active[i].baton =
+                ev.announce(&self.net, &mut self.trace, id, p.courier, target, round);
+        }
         true
     }
 
-    fn detect_and_initiate(&mut self, round: u64) -> usize {
+    fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
         self.net.fold_changed_cells_into(&mut self.pending_holes);
         let mut buf = std::mem::take(&mut self.detect_buf);
         buf.clear();
         buf.extend(self.pending_holes.iter());
-        let mut initiated = 0;
+        let mut outcome = DetectionOutcome::default();
         for &idx in &buf {
             let g = self.net.system().coord_of(idx);
             if self.failed_holes.contains(&g) || self.active.iter().any(|p| p.hole == g) {
@@ -338,6 +374,12 @@ impl ShortcutProtocol {
             let monitor = self.cycle.predecessor(g);
             if self.net.is_vacant(monitor).unwrap_or(true) {
                 continue;
+            }
+            if let Some(ev) = &mut self.event {
+                if !ev.probe(&self.net, &mut self.trace, monitor, g, round) {
+                    outcome.pending += 1;
+                    continue;
+                }
             }
             let id = ProcessId::new(self.summaries.len() as u64);
             self.summaries.push(ProcessSummary {
@@ -356,6 +398,7 @@ impl ShortcutProtocol {
                 hole: g,
                 courier: monitor,
                 forwarded: 0,
+                baton: Baton::Held,
             });
             self.metrics.processes_initiated += 1;
             self.trace.record(
@@ -366,16 +409,17 @@ impl ShortcutProtocol {
                     initiator: monitor.into(),
                 },
             );
-            initiated += 1;
+            outcome.initiated += 1;
         }
         self.detect_buf = buf;
-        initiated
+        outcome
     }
 }
 
 impl RoundProtocol for ShortcutProtocol {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
+        self.drain_due(round);
         let fault_events: Vec<_> = self.config.fault_plan.events_at(round).cloned().collect();
         for ev in fault_events {
             let killed = self.net.apply_fault(&ev, &mut self.rng);
@@ -385,7 +429,7 @@ impl RoundProtocol for ShortcutProtocol {
             }
         }
         progress |= self.net.repair_heads(self.config.election, &mut self.rng) > 0;
-        self.gossip();
+        self.beacons();
         let mut i = 0;
         while i < self.active.len() {
             let before = self.active.len();
@@ -394,12 +438,13 @@ impl RoundProtocol for ShortcutProtocol {
                 i += 1;
             }
         }
-        progress |= self.detect_and_initiate(round) > 0;
+        progress |= self.detect_and_initiate(round).any_activity();
         progress |= self
             .config
             .fault_plan
             .last_round()
             .is_some_and(|r| r > round);
+        progress |= self.event.as_ref().is_some_and(EventState::in_flight);
         self.metrics.rounds = round + 1;
         if progress {
             RoundOutcome::Progress
@@ -459,6 +504,14 @@ impl ShortcutRecovery {
         })
     }
 
+    /// Attaches `spec`'s network link: the event drive
+    /// ([`crate::DriveMode::EventDriven`]), see [`crate::link`].
+    #[must_use]
+    pub fn with_net_model(mut self, spec: NetModelSpec) -> ShortcutRecovery {
+        self.protocol.attach_net_model(spec);
+        self
+    }
+
     /// Runs to quiescence and reports.
     pub fn run(&mut self) -> SchemeReport {
         let initial_stats: NetworkStats = self.protocol.network().stats();
@@ -472,7 +525,7 @@ impl ShortcutRecovery {
             final_stats,
             fully_covered: final_stats.vacant == 0,
             processes: self.protocol.process_summaries().to_vec(),
-            health: wsn_simcore::ProtocolHealth::default(),
+            health: self.protocol.health(),
             details: SchemeDetails::none(),
         }
     }
@@ -623,8 +676,8 @@ mod tests {
 
     #[test]
     fn gradient_guides_messages_not_random_walks() {
-        // With a warm gradient the notification path length equals the
-        // true backward distance to the nearest spare.
+        // The notification path length equals the true backward
+        // distance to the nearest spare.
         let sys = GridSystem::new(6, 6, 4.4721).unwrap();
         let cycle = match CycleTopology::build(6, 6).unwrap() {
             CycleTopology::Single(c) => c,
@@ -643,5 +696,54 @@ mod tests {
         assert_eq!(report.processes.len(), 1);
         assert_eq!(report.processes[0].hops, 6, "monitor + 5 forwards");
         assert_eq!(report.metrics.messages, 5);
+    }
+
+    /// One spare in a far corner so every repair is a long courier walk.
+    fn cascade_network(seed: u64) -> GridNetwork {
+        let sys = GridSystem::new(8, 8, 4.4721).unwrap();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let hole = GridCoord::new(4, 4);
+        let mut pos = deploy::with_holes(&sys, &[hole], 1, &mut rng);
+        pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
+        GridNetwork::new(sys, &pos)
+    }
+
+    #[test]
+    fn ideal_sc_matches_classic_byte_for_byte() {
+        let holes = [GridCoord::new(2, 2), GridCoord::new(6, 5)];
+        let net = network_with_holes(&holes, 2, 1);
+        let cfg = SrConfig::default().with_seed(1);
+        let classic = ShortcutRecovery::new(net.clone(), cfg.clone())
+            .unwrap()
+            .run();
+        let event = ShortcutRecovery::new(net, cfg)
+            .unwrap()
+            .with_net_model(NetModelSpec::Ideal)
+            .run();
+        assert_eq!(event, classic);
+        assert_eq!(event.metrics, classic.metrics);
+        assert!(event.health.is_clean());
+    }
+
+    #[test]
+    fn lossy_sc_strands_couriers_as_stalled_repairs() {
+        let spec = NetModelSpec::Bernoulli {
+            loss_ppm: 400_000,
+            latency: 1,
+        };
+        let mut stalled = 0u64;
+        for seed in 0..24 {
+            let net = cascade_network(seed);
+            let cfg = SrConfig::default().with_seed(seed).with_max_rounds(60);
+            let report = ShortcutRecovery::new(net, cfg)
+                .unwrap()
+                .with_net_model(spec)
+                .run();
+            stalled += report.health.stalled_repairs;
+        }
+        assert!(
+            stalled > 0,
+            "a dropped courier forward must strand the repair"
+        );
     }
 }

@@ -179,7 +179,10 @@ mod tests {
             targets: vec![5],
             seeds_per_cell: 3,
             ..CampaignConfig::paper()
-        };
+        }
+        // One worker: with several, the other workers can finish the
+        // remaining trials before the first fold spends the budget.
+        .with_workers(1);
         match run_campaign_resumable(&cfg, None, &CancelAfter::new(1)).unwrap() {
             CampaignRun::Interrupted(cp) => cp,
             CampaignRun::Complete(_) => panic!("budgeted run must interrupt"),
