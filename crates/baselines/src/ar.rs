@@ -29,8 +29,8 @@ use serde::{Deserialize, Serialize};
 use wsn_geometry::sample;
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    ChangeDrivenProtocol, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId,
-    ProtocolHealth, RoundOutcome, RoundProtocol, RoundRunner, SimRng, TraceEvent, TraceLog,
+    EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, ProtocolHealth, RoundOutcome,
+    RoundProtocol, RoundRunner, SimRng, TraceEvent, TraceLog,
 };
 
 use wsn_coverage::link::{endpoint, net_link};
@@ -354,44 +354,6 @@ impl ArProtocol {
             },
         );
     }
-
-    /// Whether hole `idx` would trigger a new initiation if a round ran
-    /// now: not blacklisted by a dead cascade, and at least one occupied
-    /// neighbor has not yet fired during the hole's current vacancy
-    /// episode. (A hole owned by an active cascade is covered by the
-    /// active-process check in [`ChangeDrivenProtocol::has_pending_work`],
-    /// which runs first.)
-    fn hole_is_actionable(&self, idx: usize) -> bool {
-        let g = self.net.system().coord_of(idx);
-        if self.failed_holes.contains(&g) {
-            return false;
-        }
-        if self.active.iter().any(|p| p.current_target == g) {
-            return false;
-        }
-        self.net
-            .system()
-            .neighbors(g)
-            .into_iter()
-            .any(|w| self.is_usable(w) && self.is_occupied(w) && !self.initiated.contains(&(w, g)))
-    }
-}
-
-impl ChangeDrivenProtocol for ArProtocol {
-    fn has_pending_work(&self, _round: u64) -> bool {
-        if !self.active.is_empty() {
-            return true;
-        }
-        // Journal entries not yet folded into the pending set.
-        if self.net.changed_cells().iter().any(|&c| {
-            self.net.occupancy().is_vacant(c as usize) && self.hole_is_actionable(c as usize)
-        }) {
-            return true;
-        }
-        self.pending_holes
-            .iter()
-            .any(|idx| self.net.occupancy().is_vacant(idx) && self.hole_is_actionable(idx))
-    }
 }
 
 impl RoundProtocol for ArProtocol {
@@ -632,34 +594,6 @@ impl ArRecovery {
         }
     }
 
-    /// Runs using the change-driven quiescence check
-    /// ([`wsn_simcore::ChangeDrivenProtocol`]), the counterpart of
-    /// [`wsn_coverage::Recovery::run_adaptive`]: the run ends the moment
-    /// AR's own bookkeeping (active cascades + actionable pending holes)
-    /// shows nothing outstanding, skipping the idle-confirmation rounds
-    /// [`ArRecovery::run`] burns. Coverage outcomes are identical to
-    /// `run`'s, and on runs that end fully covered so is every cost
-    /// counter except `rounds` (the `wsn-bench` conformance suite pins
-    /// this). When recovery ends *incomplete*, blacklisted holes stay in
-    /// the pending set, so `run`'s trailing idle-confirmation sweeps
-    /// additionally bill `cells_scanned` that this fast path skips.
-    pub fn run_adaptive(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run_change_driven(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: Vec::new(),
-            health: self.protocol.health(),
-            details: SchemeDetails::none(),
-        }
-    }
-
     /// The network state.
     pub fn network(&self) -> &GridNetwork {
         self.protocol.network()
@@ -795,25 +729,6 @@ mod tests {
             report.metrics.processes_converged + report.metrics.processes_failed
         );
         rec.network().debug_invariants();
-    }
-
-    #[test]
-    fn adaptive_run_matches_classic_run_minus_idle_rounds() {
-        let mk = || network_with_holes(6, 6, &[GridCoord::new(2, 2), GridCoord::new(4, 4)], 3, 21);
-        let classic = ArRecovery::new(mk(), ArConfig::default().with_seed(21))
-            .unwrap()
-            .run();
-        let adaptive = ArRecovery::new(mk(), ArConfig::default().with_seed(21))
-            .unwrap()
-            .run_adaptive();
-        assert!(classic.fully_covered && adaptive.fully_covered);
-        assert!(classic.run.is_quiescent() && adaptive.run.is_quiescent());
-        // Identical work, fewer bookkeeping rounds.
-        assert_eq!(
-            adaptive.metrics.ignoring_rounds(),
-            classic.metrics.ignoring_rounds()
-        );
-        assert!(adaptive.run.rounds < classic.run.rounds);
     }
 
     #[test]

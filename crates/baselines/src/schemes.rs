@@ -158,10 +158,6 @@ impl ReplacementScheme for Ar {
         self.check_config()
     }
 
-    fn supports_change_driven(&self) -> bool {
-        true
-    }
-
     fn supports_event_driven(&self) -> bool {
         true
     }
@@ -181,10 +177,7 @@ impl ReplacementScheme for Ar {
             _ => ArRecovery::new(owned, config),
         }
         .expect("round cap pre-validated");
-        let report = match mode {
-            DriveMode::ChangeDriven => recovery.run_adaptive(),
-            _ => recovery.run(),
-        };
+        let report = recovery.run();
         *net = recovery.into_network();
         Ok(report)
     }
@@ -204,10 +197,7 @@ impl ReplacementScheme for Ar {
             _ => ArRecovery::new(owned, config),
         }
         .expect("round cap pre-validated");
-        let report = match mode {
-            DriveMode::ChangeDriven => recovery.run_adaptive(),
-            _ => recovery.run(),
-        };
+        let report = recovery.run();
         let trace = recovery.trace().clone();
         *net = recovery.into_network();
         Ok((report, trace))
@@ -458,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn ar_scheme_matches_direct_driver_and_change_driven_conforms() {
+    fn ar_scheme_matches_direct_driver() {
         let ar = Ar::new();
         let mut net = holed_network(5);
         let via_trait = ar.run(&mut net, 5, DriveMode::Classic).unwrap();
@@ -466,13 +456,6 @@ mod tests {
             .unwrap()
             .run();
         assert_eq!(via_trait, direct);
-        assert!(ar.supports_change_driven());
-        let mut net2 = holed_network(5);
-        let adaptive = ar.run(&mut net2, 5, DriveMode::ChangeDriven).unwrap();
-        assert_eq!(
-            adaptive.metrics.ignoring_rounds(),
-            direct.metrics.ignoring_rounds()
-        );
     }
 
     #[test]
@@ -483,18 +466,13 @@ mod tests {
         for id in ["vf", "smart"] {
             let reg = builtins();
             let scheme = reg.get(id).unwrap();
-            assert!(!scheme.supports_change_driven());
             assert!(!scheme.supports_event_driven());
-            for mode in [
-                DriveMode::ChangeDriven,
-                DriveMode::EventDriven {
-                    net: NetModelSpec::Ideal,
-                },
-            ] {
-                let err = scheme.run(&mut net, 7, mode).unwrap_err();
-                assert_eq!(err.scheme, id);
-                assert_eq!(net.stats(), before, "{id} must not touch the network");
-            }
+            let mode = DriveMode::EventDriven {
+                net: NetModelSpec::Ideal,
+            };
+            let err = scheme.run(&mut net, 7, mode).unwrap_err();
+            assert_eq!(err.scheme, id);
+            assert_eq!(net.stats(), before, "{id} must not touch the network");
         }
     }
 

@@ -36,17 +36,12 @@ use wsn_bench::campaign::{
     run_campaign_resumable, CampaignCheckpoint, CampaignConfig, CampaignObserver, CampaignResult,
     CampaignRun,
 };
+use wsn_bench::cli::results_dir;
 use wsn_bench::figures;
 use wsn_bench::sweep::{run_sweep, sweep_to_json, SweepConfig};
 use wsn_coverage::SchemeId;
 use wsn_simcore::shutdown;
 use wsn_stats::table::TextTable;
-
-fn out_dir() -> PathBuf {
-    std::env::var_os("WSN_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
 
 /// Winds the campaign down at the next trial boundary after
 /// SIGINT/SIGTERM.
@@ -226,7 +221,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let dir = out_dir();
+    let dir = results_dir();
     let emit = |id: &str, title: &str, x: &str, y: &str, series: &[wsn_stats::Series]| {
         match figures::render(id, title, x, y, series, Some(&dir)) {
             Ok(text) => println!("{text}"),

@@ -25,50 +25,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use wsn_bench::cli::{results_dir, take_flag, take_switch};
 use wsn_bench::perf::{
     bench_avail, bench_campaign, bench_core, bench_event, compare_dirs, DEFAULT_THRESHOLD_PERCENT,
 };
 use wsn_simcore::shutdown;
 use wsn_stats::JsonValue;
 
-fn out_dir() -> PathBuf {
-    std::env::var_os("WSN_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Consumes `--flag value` / `--flag=value` from `args`.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Ok(Some(v));
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        return Ok(Some(args.remove(i)[prefix.len()..].to_owned()));
-    }
-    Ok(None)
-}
-
-/// Consumes a bare `--flag` switch from `args`.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
-
 fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
     let smoke = take_switch(&mut args, "--smoke");
     let dir = match take_flag(&mut args, "--out")? {
         Some(d) => PathBuf::from(d),
-        None => out_dir(),
+        None => results_dir(),
     };
     if let Some(extra) = args.first() {
         return Err(format!("unexpected argument {extra:?}"));
@@ -137,7 +105,7 @@ fn cmd_compare(mut args: Vec<String>) -> Result<bool, String> {
         .unwrap_or_else(|| PathBuf::from("baselines"));
     let results = take_flag(&mut args, "--results")?
         .map(PathBuf::from)
-        .unwrap_or_else(out_dir);
+        .unwrap_or_else(results_dir);
     let threshold: f64 = match take_flag(&mut args, "--threshold")? {
         Some(v) => v
             .parse()

@@ -11,9 +11,9 @@
 //!
 //! * `record` re-executes one campaign coordinate traced and saves a
 //!   `replay_<coord>.trace` artifact (`--plan` attaches a fault
-//!   schedule in `round:kill-nodes:1,2` text form, `--drive` picks the
-//!   driver, `--scenario H:P` records a conformance scenario instead of
-//!   a matrix trial).
+//!   schedule in `round:kill-nodes:1,2` text form, `--drive` takes an
+//!   artifact's drive token, `classic` or `event-<net>`, `--scenario
+//!   H:P` records a conformance scenario instead of a matrix trial).
 //! * `diff` compares two artifacts event-by-event and prints the first
 //!   divergent record with context; exit code 1 on divergence.
 //! * `verify` re-executes an artifact's spec and diffs the fresh trace
@@ -26,47 +26,25 @@
 //!   corruption, shrinks to the known 1-batch/1-victim minimum, and
 //!   round-trips the artifact — exit 0 only if every step holds.
 //! * `bench` times record/replay overhead (untraced run vs traced run
-//!   vs codec round-trip) and writes `BENCH_replay.json` in the
-//!   criterion stand-in min/mean/max shape.
+//!   vs codec round-trip) and writes `BENCH_replay.json` in the perf
+//!   ledger's min/mean/max shape.
 //!
 //! Artifacts land in `results/` at the workspace root (or
 //! `$WSN_RESULTS_DIR`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
+use wsn_bench::cli::{results_dir, take_flag};
+use wsn_bench::perf::{bench_entry, time_ns};
 use wsn_bench::replay::{
-    self, fault_plan_from_str, fault_plan_to_string, record, shrink_between, Recording,
-    ReplayArtifact, ReplaySpec, PLANTED_SCHEME_ID,
+    self, fault_plan_from_str, fault_plan_to_string, parse_drive, record, shrink_between,
+    Recording, ReplayArtifact, ReplaySpec, PLANTED_SCHEME_ID,
 };
 use wsn_coverage::scheme::DriveMode;
 use wsn_simcore::replay::diff_logs;
 use wsn_simcore::FaultEvent;
 use wsn_stats::JsonValue;
-
-fn out_dir() -> PathBuf {
-    std::env::var_os("WSN_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Consumes `--flag value` / `--flag=value` from `args`.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Ok(Some(v));
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        return Ok(Some(args.remove(i)[prefix.len()..].to_owned()));
-    }
-    Ok(None)
-}
 
 fn parse_grid(s: &str) -> Result<(u16, u16), String> {
     let (c, r) = s
@@ -99,10 +77,9 @@ fn build_spec(mut args: Vec<String>) -> Result<(ReplaySpec, Option<PathBuf>), St
         Some(text) => fault_plan_from_str(&text).map_err(|e| e.to_string())?,
         None => wsn_simcore::FaultPlan::new(),
     };
-    let drive = match take_flag(&mut args, "--drive")?.as_deref() {
-        None | Some("classic") => DriveMode::Classic,
-        Some("change-driven") => DriveMode::ChangeDriven,
-        Some(other) => return Err(format!("bad --drive {other:?}")),
+    let drive = match take_flag(&mut args, "--drive")? {
+        Some(token) => parse_drive(&token).map_err(|e| format!("bad --drive: {e}"))?,
+        None => DriveMode::Classic,
     };
     let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let scheme = match args.iter().find(|a| !a.starts_with("--")) {
@@ -138,7 +115,7 @@ fn cmd_record(args: Vec<String>) -> Result<(), String> {
     let (spec, out) = build_spec(args)?;
     let rec = record(&spec).map_err(|e| e.to_string())?;
     let artifact = ReplayArtifact::from_recording(&rec, None);
-    let path = out.unwrap_or_else(|| out_dir().join(artifact.file_name()));
+    let path = out.unwrap_or_else(|| results_dir().join(artifact.file_name()));
     artifact.save(&path).map_err(|e| e.to_string())?;
     println!(
         "recorded {} (stream seed {}): {} events, {} moves, {} messages -> {}",
@@ -279,36 +256,6 @@ fn node_ids(raw: &[u32]) -> Vec<wsn_simcore::NodeId> {
     raw.iter().copied().map(wsn_simcore::NodeId::new).collect()
 }
 
-/// Times one closure `samples` times and returns (min, mean, max) in
-/// nanoseconds — the criterion stand-in shape. A few untimed warmup
-/// iterations stabilize caches first so `min_ns` is comparable across
-/// machines and runs (the perf gate diffs it at 25%).
-fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
-    for _ in 0..3 {
-        f();
-    }
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_nanos() as f64);
-    }
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = times.iter().copied().fold(0.0, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    (min, mean, max)
-}
-
-fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
-    JsonValue::obj([
-        ("name", JsonValue::from(name)),
-        ("samples", JsonValue::from(samples as u64)),
-        ("min_ns", JsonValue::from(min)),
-        ("mean_ns", JsonValue::from(mean)),
-        ("max_ns", JsonValue::from(max)),
-    ])
-}
-
 /// Measures trace record/replay overhead and writes `BENCH_replay.json`.
 fn cmd_bench(dir: &Path) -> Result<(), String> {
     const SAMPLES: usize = 40;
@@ -371,7 +318,7 @@ fn cmd_bench(dir: &Path) -> Result<(), String> {
 
 const USAGE: &str = "usage: replay <record|diff|verify|shrink|smoke|bench> [args]
   record <scheme> [--grid CxR] [--n N] [--trial T] [--seed S] [--plan TEXT]
-                  [--drive classic|change-driven] [--scenario H:P] [--out FILE]
+                  [--drive classic|event-<net>] [--scenario H:P] [--out FILE]
   diff <a.trace> <b.trace>
   verify <a.trace>
   shrink <a.trace>
@@ -400,13 +347,13 @@ fn main() -> ExitCode {
             _ => Err("shrink needs exactly one artifact path".into()),
         },
         "smoke" => {
-            let dir = out_dir();
+            let dir = results_dir();
             std::fs::create_dir_all(&dir)
                 .map_err(|e| e.to_string())
                 .and_then(|()| cmd_smoke(&dir))
                 .map(|()| true)
         }
-        "bench" => cmd_bench(&out_dir()).map(|()| true),
+        "bench" => cmd_bench(&results_dir()).map(|()| true),
         other => {
             eprintln!("unknown command {other:?}\n{USAGE}");
             return ExitCode::FAILURE;

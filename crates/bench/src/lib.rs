@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod cli;
 pub mod figures;
 pub mod perf;
 pub mod replay;

@@ -1,4 +1,4 @@
-//! The perf ledger: criterion stand-in benchmarks for the hot paths,
+//! The perf ledger: fixed-sample benchmarks for the hot paths,
 //! with a checked-in baseline comparison gate.
 //!
 //! Two artifacts, written by `cargo run -p wsn-bench --bin perf -- run`:
@@ -15,10 +15,11 @@
 //!   engine (deploy → repair → aggregate) on 64×64 and 256×256
 //!   full-recovery matrices and a 1024×1024 single-replacement trial.
 //!
-//! Every entry is the criterion stand-in shape `{name, samples, min_ns,
-//! mean_ns, max_ns}` that `replay bench` established for
-//! `BENCH_replay.json`. `min_ns` is the comparison statistic: it is the
-//! least noisy summary of a loop's cost on a busy machine.
+//! Every entry has the shape `{name, samples, min_ns, mean_ns, max_ns}`
+//! ([`bench_entry`] over [`time_ns`]); `replay bench` and `served bench`
+//! write theirs through the same two functions. `min_ns` is the
+//! comparison statistic: it is the least noisy summary of a loop's cost
+//! on a busy machine.
 //!
 //! The **compare gate** (`perf compare`) parses a fresh `results/`
 //! directory against the checked-in `baselines/` directory and fails
@@ -59,8 +60,8 @@ pub const LEDGER_FILES: [&str; 6] = [
 ];
 
 /// Times one closure `samples` times and returns (min, mean, max) in
-/// nanoseconds — the criterion stand-in shape.
-fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+/// nanoseconds, the statistics of one ledger entry.
+pub fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
@@ -73,7 +74,9 @@ fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     (min, mean, max)
 }
 
-fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
+/// One ledger entry: `{name, samples, min_ns, mean_ns, max_ns}`, the
+/// shape every `BENCH_*.json` file and `perf compare` share.
+pub fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
     JsonValue::obj([
         ("name", JsonValue::from(name)),
         ("samples", JsonValue::from(samples as u64)),

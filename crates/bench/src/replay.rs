@@ -331,12 +331,18 @@ impl ReplaySpec {
 fn drive_str(drive: DriveMode) -> String {
     match drive {
         DriveMode::Classic => "classic".into(),
-        DriveMode::ChangeDriven => "change-driven".into(),
         DriveMode::EventDriven { net } => format!("event-{}", net.token()),
     }
 }
 
-fn parse_drive(s: &str) -> Result<DriveMode, ReplayError> {
+/// Parses the drive token an artifact carries: `classic` or
+/// `event-<net token>` (see [`NetModelSpec::token`]).
+///
+/// # Errors
+///
+/// [`ReplayError::BadArtifact`] for any other token, or an unknown
+/// network model.
+pub fn parse_drive(s: &str) -> Result<DriveMode, ReplayError> {
     if let Some(token) = s.strip_prefix("event-") {
         let net = NetModelSpec::parse_token(token).ok_or_else(|| {
             ReplayError::BadArtifact(format!("unknown network model token {token:?}"))
@@ -345,7 +351,6 @@ fn parse_drive(s: &str) -> Result<DriveMode, ReplayError> {
     }
     match s {
         "classic" => Ok(DriveMode::Classic),
-        "change-driven" => Ok(DriveMode::ChangeDriven),
         other => Err(ReplayError::BadArtifact(format!(
             "unknown drive mode {other:?}"
         ))),
@@ -427,8 +432,9 @@ pub fn record(spec: &ReplaySpec) -> Result<Recording, ReplayError> {
 }
 
 /// Whether two recordings disagree: either the traces diverge or the
-/// cost counters (modulo `rounds`, the one legitimately drive-dependent
-/// field) differ.
+/// cost counters differ. `rounds` is left out of the counter check
+/// ([`wsn_simcore::Metrics::ignoring_rounds`]): the trace diff already
+/// pins the round of every event.
 pub fn recordings_diverge(left: &Recording, right: &Recording) -> bool {
     !diff_logs(&left.trace, &right.trace).is_clean()
         || left.report.metrics.ignoring_rounds() != right.report.metrics.ignoring_rounds()
@@ -843,10 +849,6 @@ impl ReplacementScheme for SabotagedSr {
 
     fn supports(&self, spec: &wsn_coverage::scheme::NetworkSpec) -> Result<(), Unsupported> {
         self.inner.supports(spec)
-    }
-
-    fn supports_change_driven(&self) -> bool {
-        true
     }
 
     fn run(

@@ -19,8 +19,8 @@
 //!   path kept as the baseline.
 //!
 //! All modes make byte-identical repair decisions (the property the
-//! tests pin down); `benches/bench_occupancy.rs` and the `perf` binary
-//! measure the wall-clock gaps, which are the tentpole acceptance
+//! tests pin down); the `perf` binary's `hole_fold_*`/`hole_scan_*`
+//! ledger entries measure the wall-clock gaps, which are the acceptance
 //! criteria of the occupancy and kernel refactors.
 //!
 //! [`VacancySet`]: wsn_grid::VacancySet

@@ -48,7 +48,7 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// A smaller, faster sweep for smoke tests and Criterion benches.
+    /// A smaller, faster sweep for smoke tests and `figures --quick`.
     pub fn quick() -> SweepConfig {
         SweepConfig {
             targets: vec![10, 55, 200, 1000],

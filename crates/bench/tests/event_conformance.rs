@@ -10,7 +10,7 @@
 //! reproduce the classic runner's reports **byte for byte** — same
 //! metrics (including `rounds`), same per-process summaries, same
 //! RNG draw order. This suite pins that equivalence across the same
-//! scenario grid the change-driven conformance suite uses (single-cycle
+//! scenario grid the classic conformance suite uses (single-cycle
 //! and dual-path grids, masked regions, mid-run faults, and the SR knobs
 //! that draw from the run RNG or reshape heads: asynchronous
 //! activation, battery dynamics, head rotation), then pins the
@@ -27,7 +27,8 @@ use wsn_coverage::{Recovery, ShortcutRecovery, SrConfig};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask};
 use wsn_simcore::{FaultEvent, FaultPlan, NetModelSpec, SimRng, TraceEvent};
 
-/// The scenario grid shared with the change-driven conformance suite:
+/// The scenario grid shared with the classic conformance suite
+/// (`conformance.rs`):
 /// `(cols, rows, holes, per_cell)` per entry, each run under several
 /// seeds. Includes the dual-path structures (odd × odd and odd × odd
 /// non-square) that Algorithm 2 serves.

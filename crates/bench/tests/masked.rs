@@ -116,7 +116,7 @@ fn masked_128x128_preset_recovers_under_sr() {
         .expect("preset exists");
     let (net, holes) = holed_network(&scenario, 211);
     let mut rec = Recovery::new(net, SrConfig::default().with_seed(scenario.seed)).unwrap();
-    let report = rec.run_adaptive();
+    let report = rec.run();
     assert!(report.fully_covered, "{report}");
     assert_eq!(report.metrics.processes_initiated, holes.len() as u64);
     assert_confined(rec.network());

@@ -9,9 +9,9 @@ use std::path::{Path, PathBuf};
 
 use wsn_bench::campaign::CampaignConfig;
 use wsn_bench::replay::{
-    self, fault_plan_from_str, fault_plan_to_string, record, recordings_diverge, scheme_with_plan,
-    shrink_between, trace_matches_metrics, ReplayArtifact, ReplayError, ReplaySpec,
-    PLANTED_SCHEME_ID, PLANTED_TRIGGER_ROUND,
+    self, fault_plan_from_str, fault_plan_to_string, parse_drive, record, recordings_diverge,
+    scheme_with_plan, shrink_between, trace_matches_metrics, ReplayArtifact, ReplayError,
+    ReplaySpec, PLANTED_SCHEME_ID, PLANTED_TRIGGER_ROUND,
 };
 use wsn_coverage::scheme::DriveMode;
 use wsn_geometry::{Disk, Point2};
@@ -63,7 +63,9 @@ fn fault_plan_text_codec_round_trips() {
 #[test]
 fn artifacts_round_trip_through_the_binary_container() {
     let matrix = ReplaySpec::matrix("sr", (8, 8), 10, 2)
-        .with_drive(DriveMode::ChangeDriven)
+        .with_drive(DriveMode::EventDriven {
+            net: NetModelSpec::FixedLatency { ticks: 2 },
+        })
         .with_plan(armed_plan());
     let scenario = ReplaySpec::scenario("ar", (6, 6), 2, 2, 47);
     for spec in [matrix, scenario] {
@@ -222,6 +224,51 @@ fn trace_vocabulary_pins_single_initiation_and_one_message_per_hop() {
         }
     }
     assert_eq!(seen.len() as u64, m.processes_initiated);
+}
+
+#[test]
+fn unknown_drive_tokens_are_refused_not_panicked_on() {
+    // Every run has one stop rule, so the drive codec knows `classic`
+    // and `event-<net>` only. The retired `change-driven` token is
+    // refused by the parser, by artifact decoding and by `replay
+    // record --drive`.
+    for token in ["change-driven", "adaptive", "event-", "event-warp"] {
+        assert!(
+            matches!(parse_drive(token), Err(ReplayError::BadArtifact(_))),
+            "{token}"
+        );
+    }
+    let rec = record(&ReplaySpec::scenario("sr", (4, 4), 1, 2, 11)).expect("records");
+    let bytes =
+        ReplayArtifact::from_recording(&rec, Some(("sr".into(), DriveMode::Classic))).to_bytes();
+    let (meta, trace) = wsn_simcore::trace::binary::decode(&bytes).expect("decodes");
+    for key in ["drive", "baseline_drive"] {
+        let edited: Vec<(String, String)> = meta
+            .iter()
+            .map(|(k, v)| {
+                let v = if k == key { "change-driven" } else { v };
+                (k.clone(), v.to_string())
+            })
+            .collect();
+        let tampered = wsn_simcore::trace::binary::encode(&edited, &trace);
+        assert!(
+            matches!(
+                ReplayArtifact::from_bytes(&tampered),
+                Err(ReplayError::BadArtifact(_))
+            ),
+            "{key}"
+        );
+    }
+    let dir = scratch("bad_drive");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_replay"))
+        .args(["record", "sr", "--drive", "change-driven"])
+        .env("WSN_RESULTS_DIR", &dir)
+        .output()
+        .expect("replay binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --drive"), "{stderr}");
 }
 
 #[test]

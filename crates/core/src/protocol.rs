@@ -45,8 +45,8 @@ use std::collections::HashSet;
 use wsn_grid::{GridCoord, GridError, GridNetwork, HoleSet};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{
-    ChangeDrivenProtocol, EnergyModel, Metrics, NetModelSpec, NodeId, ProtocolHealth, RoundOutcome,
-    RoundProtocol, SimRng, TraceEvent, TraceLog,
+    EnergyModel, Metrics, NetModelSpec, NodeId, ProtocolHealth, RoundOutcome, RoundProtocol,
+    SimRng, TraceEvent, TraceLog,
 };
 
 use crate::link::{Baton, EventState};
@@ -674,42 +674,6 @@ impl SrProtocol {
         }
         self.detect_buf = buf;
         outcome
-    }
-
-    /// Whether hole `idx` could be acted on if a round ran now: not
-    /// blacklisted as unfillable, and monitored by an occupied cell.
-    fn hole_is_actionable(&self, idx: usize) -> bool {
-        let g = self.net.system().coord_of(idx);
-        if self.failed_holes.contains(&g) {
-            return false;
-        }
-        self.is_occupied(self.topo.monitors(g))
-    }
-}
-
-impl ChangeDrivenProtocol for SrProtocol {
-    fn has_pending_work(&self, round: u64) -> bool {
-        if !self.active.is_empty() {
-            return true;
-        }
-        if self
-            .config
-            .fault_plan
-            .last_round()
-            .is_some_and(|r| r >= round)
-        {
-            return true;
-        }
-        // Journal entries not yet folded into the pending set (e.g. holes
-        // opened by idle-drain deaths after the last detection sweep).
-        if self.net.changed_cells().iter().any(|&c| {
-            self.net.occupancy().is_vacant(c as usize) && self.hole_is_actionable(c as usize)
-        }) {
-            return true;
-        }
-        self.pending_holes
-            .iter()
-            .any(|idx| self.net.occupancy().is_vacant(idx) && self.hole_is_actionable(idx))
     }
 }
 

@@ -149,36 +149,6 @@ impl Recovery {
         }
     }
 
-    /// Runs using the change-driven quiescence check
-    /// ([`wsn_simcore::ChangeDrivenProtocol`]): the run ends the moment
-    /// the protocol's pending-hole index shows nothing outstanding,
-    /// skipping the idle-confirmation rounds [`Recovery::run`] executes.
-    /// Without battery dynamics (the default), coverage outcomes and
-    /// per-process results are identical to `run`'s and only the round
-    /// accounting differs (no trailing no-op rounds). With
-    /// `battery_dynamics` enabled the skipped rounds are not no-ops —
-    /// heads burn idle energy every round, and a death in a trailing
-    /// round can open a fresh hole — so energy totals (and, at the
-    /// margin, coverage) may diverge from `run`'s. Use `run` when
-    /// comparing round counts or energy against the paper, and
-    /// `run_adaptive` for large-grid scenario harnesses.
-    pub fn run_adaptive(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run_change_driven(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: self.protocol.process_summaries().to_vec(),
-            health: self.protocol.health(),
-            details: SchemeDetails::none(),
-        }
-    }
-
     /// The network state (before [`Recovery::run`]: as deployed with
     /// heads elected; after: the recovered state).
     pub fn network(&self) -> &GridNetwork {
@@ -225,34 +195,6 @@ mod tests {
         assert!(!report.to_string().is_empty());
         assert!(!rec.trace().is_empty());
         assert!(rec.protocol().process_summaries().len() == 1);
-    }
-
-    #[test]
-    fn adaptive_run_matches_classic_run_minus_idle_rounds() {
-        let mk = || {
-            let sys = GridSystem::new(6, 6, 4.4721).unwrap();
-            let mut rng = SimRng::seed_from_u64(8);
-            let pos = deploy::with_holes(
-                &sys,
-                &[GridCoord::new(1, 2), GridCoord::new(4, 4)],
-                2,
-                &mut rng,
-            );
-            GridNetwork::new(sys, &pos)
-        };
-        let classic = Recovery::new(mk(), SrConfig::default().with_seed(8))
-            .unwrap()
-            .run();
-        let adaptive = Recovery::new(mk(), SrConfig::default().with_seed(8))
-            .unwrap()
-            .run_adaptive();
-        assert!(classic.fully_covered && adaptive.fully_covered);
-        assert!(classic.run.is_quiescent() && adaptive.run.is_quiescent());
-        // Identical work, fewer bookkeeping rounds.
-        assert_eq!(adaptive.metrics.moves, classic.metrics.moves);
-        assert_eq!(adaptive.metrics.distance, classic.metrics.distance);
-        assert_eq!(adaptive.processes.len(), classic.processes.len());
-        assert!(adaptive.run.rounds < classic.run.rounds);
     }
 
     #[test]

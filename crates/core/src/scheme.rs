@@ -21,10 +21,11 @@
 //!   [`SchemeReport`]. Passing the network by `&mut` (not by value) is
 //!   what makes paired before/after inspection possible without cloning.
 //!
-//! [`DriveMode`] folds the classic idle-confirmation loop and the
-//! change-driven fast path (`run` vs `run_adaptive` in the old API) into
-//! one parameter; schemes advertise the fast path via
-//! [`ReplacementScheme::supports_change_driven`].
+//! [`DriveMode`] picks how the rounds are driven: the classic synchronous
+//! loop, or the discrete-event engine over a network model. Both stop by
+//! the same rule — observed quiescence, the paper's round accounting —
+//! and schemes advertise the event engine via
+//! [`ReplacementScheme::supports_event_driven`].
 //!
 //! A [`SchemeRegistry`] maps ids to boxed scheme objects. The five
 //! built-ins are registered by `wsn_baselines::builtins()`; external
@@ -125,24 +126,17 @@ use crate::recovery::{Recovery, SrError};
 use crate::shortcut::ShortcutRecovery;
 use crate::SrConfig;
 
-/// How a scheme's round loop decides it is done.
-///
-/// The old API exposed this as two methods per driver (`run` vs
-/// `run_adaptive` / `run_change_driven`); the trait folds it into one
-/// parameter.
+/// How a scheme's rounds are driven. Either way the run ends by the same
+/// rule, [`wsn_simcore::RoundRunner::run`]: after the scheme's window of
+/// consecutive idle rounds (the paper's round accounting), or at the
+/// round cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum DriveMode {
-    /// The paper's accounting: quiescence is observed by executing
-    /// idle-confirmation rounds. Use this when comparing round counts or
-    /// energy against the paper.
+    /// The synchronous round loop of the paper: every head acts once
+    /// per lock-step round, messages arrive the next round, nothing is
+    /// lost.
     #[default]
     Classic,
-    /// The fast path: the run ends the moment the scheme's own
-    /// pending-work index shows nothing outstanding
-    /// ([`wsn_simcore::ChangeDrivenProtocol`]), skipping trailing no-op
-    /// rounds. Only available where
-    /// [`ReplacementScheme::supports_change_driven`] reports `true`.
-    ChangeDriven,
     /// The discrete-event engine: heads and spares are actors
     /// exchanging typed messages through the given network model
     /// ([`wsn_simcore::net`]), so latency and loss become protocol
@@ -162,7 +156,6 @@ impl fmt::Display for DriveMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DriveMode::Classic => f.write_str("classic"),
-            DriveMode::ChangeDriven => f.write_str("change-driven"),
             DriveMode::EventDriven { net } => write!(f, "event-{net}"),
         }
     }
@@ -346,9 +339,9 @@ pub struct SchemeReport {
     /// Per-process details, for schemes with a replacement-process
     /// notion (SR, SR-SC); empty otherwise.
     pub processes: Vec<ProcessSummary>,
-    /// Distributed-protocol health counters. All-zero for classic and
-    /// change-driven runs (the synchronous model has no network to
-    /// lose messages in); populated by [`DriveMode::EventDriven`].
+    /// Distributed-protocol health counters. All-zero for classic runs
+    /// (the synchronous model has no network to lose messages in);
+    /// populated by [`DriveMode::EventDriven`].
     /// Excluded from equality, like `details`: conformance compares
     /// the classic engine (no envelope accounting) against the event
     /// engine (full accounting) on everything the paper measures.
@@ -415,11 +408,6 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
     /// Hamilton structure, no single cycle, …).
     fn supports(&self, spec: &NetworkSpec) -> Result<(), Unsupported>;
 
-    /// Whether [`DriveMode::ChangeDriven`] is implemented.
-    fn supports_change_driven(&self) -> bool {
-        false
-    }
-
     /// Whether [`DriveMode::EventDriven`] is implemented.
     fn supports_event_driven(&self) -> bool {
         false
@@ -437,7 +425,7 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
     ///
     /// [`Unsupported`] when the network's region fails
     /// [`ReplacementScheme::supports`], or `mode` is
-    /// [`DriveMode::ChangeDriven`] on a scheme without that driver.
+    /// [`DriveMode::EventDriven`] on a scheme without that driver.
     fn run(
         &self,
         net: &mut GridNetwork,
@@ -870,10 +858,6 @@ impl ReplacementScheme for Sr {
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))
     }
 
-    fn supports_change_driven(&self) -> bool {
-        true
-    }
-
     fn supports_event_driven(&self) -> bool {
         true
     }
@@ -923,10 +907,7 @@ impl Sr {
         if let DriveMode::EventDriven { net: spec } = mode {
             recovery = recovery.with_net_model(spec);
         }
-        let report = match mode {
-            DriveMode::ChangeDriven => recovery.run_adaptive(),
-            DriveMode::Classic | DriveMode::EventDriven { .. } => recovery.run(),
-        };
+        let report = recovery.run();
         let trace = recovery.trace().clone();
         *net = recovery.into_network();
         Ok((report, trace))
@@ -1026,12 +1007,6 @@ impl SrSc {
         mode: DriveMode,
         traced: bool,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        if mode == DriveMode::ChangeDriven {
-            return Err(Unsupported::new(
-                self.id(),
-                "SR-SC has no change-driven driver (its heads beacon every round)",
-            ));
-        }
         let topo = CycleTopology::build_masked(net.mask())
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
         if matches!(topo, CycleTopology::Dual(_)) {
@@ -1169,14 +1144,6 @@ mod tests {
         .unwrap()
         .run();
         assert_eq!(via_trait, direct);
-        // Change-driven mode maps to run_adaptive.
-        assert!(sr.supports_change_driven());
-        let mut net2 = holed_network(6, 6, seed);
-        let adaptive = sr.run(&mut net2, seed, DriveMode::ChangeDriven).unwrap();
-        assert_eq!(
-            adaptive.metrics.ignoring_rounds(),
-            direct.metrics.ignoring_rounds()
-        );
     }
 
     #[test]
@@ -1199,10 +1166,6 @@ mod tests {
         assert!(sc.run(&mut net, 1, DriveMode::Classic).is_err());
         // ...and the caller's network is still usable afterwards.
         assert_eq!(net.stats().vacant, 0);
-        // No change-driven driver.
-        assert!(!sc.supports_change_driven());
-        let mut net6 = holed_network(6, 6, 2);
-        assert!(sc.run(&mut net6, 2, DriveMode::ChangeDriven).is_err());
     }
 
     #[test]
@@ -1245,7 +1208,10 @@ mod tests {
     fn drive_mode_and_unsupported_display() {
         assert_eq!(DriveMode::default(), DriveMode::Classic);
         assert_eq!(DriveMode::Classic.to_string(), "classic");
-        assert_eq!(DriveMode::ChangeDriven.to_string(), "change-driven");
+        let event = DriveMode::EventDriven {
+            net: NetModelSpec::Ideal,
+        };
+        assert_eq!(event.to_string(), "event-ideal");
         let u = Unsupported::new("vf", "no reason");
         assert!(u.to_string().contains("vf"));
         let from_sr: Unsupported = SrError::ShortcutNeedsCycle.into();

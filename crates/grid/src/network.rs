@@ -1165,7 +1165,7 @@ mod tests {
         assert_eq!(net.enabled_count(), 4);
         assert!(!net.is_vacant(GridCoord::new(0, 1)).unwrap());
         assert_eq!(net.members(GridCoord::new(0, 1)).unwrap(), &[id]);
-        // The journal records the fill for change-driven consumers.
+        // The journal records the fill for hole detection to fold.
         let idx_01 = net.system().index_of(GridCoord::new(0, 1)).unwrap() as u32;
         assert!(net.changed_cells().contains(&idx_01));
         net.debug_invariants();

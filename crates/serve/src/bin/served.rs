@@ -18,38 +18,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use wsn_bench::cli::{results_dir, take_flag, take_switch};
 use wsn_serve::server::{ServeConfig, Server};
 use wsn_simcore::shutdown;
 
 const USAGE: &str = "usage: served serve [--addr HOST:PORT] [--state-dir DIR] \
 [--checkpoint-every N] [--workers N]\n       served bench [--smoke] [--out DIR]";
-
-/// Consumes `--flag value` / `--flag=value` from `args`.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} needs a value"));
-        }
-        let v = args.remove(i + 1);
-        args.remove(i);
-        return Ok(Some(v));
-    }
-    let prefix = format!("{flag}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&prefix)) {
-        return Ok(Some(args.remove(i)[prefix.len()..].to_owned()));
-    }
-    Ok(None)
-}
-
-/// Consumes a bare `--flag` switch from `args`.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
-}
 
 fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
@@ -97,9 +71,7 @@ fn cmd_bench(mut args: Vec<String>) -> Result<(), String> {
     let smoke = take_switch(&mut args, "--smoke");
     let dir = match take_flag(&mut args, "--out")? {
         Some(d) => PathBuf::from(d),
-        None => std::env::var_os("WSN_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results")),
+        None => results_dir(),
     };
     if let Some(extra) = args.first() {
         return Err(format!("unexpected argument {extra:?}"));

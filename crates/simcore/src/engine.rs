@@ -37,26 +37,6 @@ pub trait RoundProtocol {
     fn execute_round(&mut self, round: Round) -> RoundOutcome;
 }
 
-/// A protocol whose outstanding work is readable from its own
-/// bookkeeping (active-process tables, pending-hole sets fed by an
-/// occupancy change journal, scheduled faults) without executing a
-/// round.
-///
-/// [`RoundRunner::run_change_driven`] uses this to declare quiescence
-/// the moment the index shows nothing pending, skipping the
-/// idle-confirmation window [`RoundRunner::run`] needs when quiescence
-/// can only be observed by running no-op rounds. The two drivers
-/// therefore report different round counts for the same protocol:
-/// `run` matches the paper's round accounting, `run_change_driven` is
-/// the fast path for large-grid scenario harnesses where the trailing
-/// idle rounds are pure overhead.
-pub trait ChangeDrivenProtocol: RoundProtocol {
-    /// `true` while any work is outstanding at the start of `round`:
-    /// active processes, actionable holes, or faults scheduled at or
-    /// after `round`.
-    fn has_pending_work(&self, round: Round) -> bool;
-}
-
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Quiescence {
@@ -201,27 +181,6 @@ impl RoundRunner {
             termination: Quiescence::MaxRoundsExceeded,
         }
     }
-
-    /// Runs `protocol` until its change-driven pending-work check reports
-    /// nothing outstanding, or the round cap. Unlike [`RoundRunner::run`]
-    /// this needs no idle-confirmation rounds (the quiescence window is
-    /// ignored): the protocol's own index says whether work remains, so
-    /// the reported round count excludes trailing no-op rounds.
-    pub fn run_change_driven<P: ChangeDrivenProtocol>(&self, protocol: &mut P) -> RunReport {
-        for round in 0..self.max_rounds {
-            if !protocol.has_pending_work(round) {
-                return RunReport {
-                    rounds: round,
-                    termination: Quiescence::Reached,
-                };
-            }
-            protocol.execute_round(round);
-        }
-        RunReport {
-            rounds: self.max_rounds,
-            termination: Quiescence::MaxRoundsExceeded,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,35 +248,6 @@ mod tests {
         let report = runner.run(&mut Script(vec![Q]));
         assert_eq!(report.rounds, 1);
         assert!(report.is_quiescent());
-    }
-
-    #[test]
-    fn change_driven_run_skips_idle_confirmation() {
-        // Work pending for 3 rounds, then the index reads empty: the
-        // change-driven driver stops at round 3 where `run` would burn
-        // two more idle rounds confirming quiescence.
-        struct Indexed {
-            pending_until: Round,
-        }
-        impl RoundProtocol for Indexed {
-            fn execute_round(&mut self, _round: Round) -> RoundOutcome {
-                RoundOutcome::Progress
-            }
-        }
-        impl ChangeDrivenProtocol for Indexed {
-            fn has_pending_work(&self, round: Round) -> bool {
-                round < self.pending_until
-            }
-        }
-        let runner = RoundRunner::with_quiescence(100, 2).unwrap();
-        let report = runner.run_change_driven(&mut Indexed { pending_until: 3 });
-        assert_eq!(report.rounds, 3);
-        assert!(report.is_quiescent());
-        // Livelocked pending work still hits the cap.
-        let report = runner.run_change_driven(&mut Indexed {
-            pending_until: u64::MAX,
-        });
-        assert_eq!(report.termination, Quiescence::MaxRoundsExceeded);
     }
 
     #[test]

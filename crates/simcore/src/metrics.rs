@@ -81,15 +81,10 @@ impl Metrics {
     }
 
     /// The same counters with round accounting stripped (`rounds = 0`) —
-    /// what a protocol *did*, independent of how long the driver kept
-    /// confirming quiescence. [`crate::engine::RoundRunner::run`] bills
-    /// its trailing idle-confirmation rounds where
-    /// [`crate::engine::RoundRunner::run_change_driven`] stops the moment
-    /// the protocol's index reads empty, so on runs whose pending-hole
-    /// set empties (full recovery) the two drivers agree on every
-    /// counter except `rounds`; conformance tests compare this view.
-    /// (On *incomplete* recoveries the classic driver's idle sweeps also
-    /// keep billing the still-pending holes to `cells_scanned`.)
+    /// what a protocol *did*, independent of how many rounds it took.
+    /// The replay harness (`wsn_bench::replay::recordings_diverge`)
+    /// compares this view next to the trace diff, which already pins the
+    /// round of every event.
     #[must_use]
     pub fn ignoring_rounds(mut self) -> Metrics {
         self.rounds = 0;
