@@ -103,7 +103,7 @@ use serde::{Deserialize, Serialize};
 use crate::steady::{run_steady_trial, SteadyOutcome, SteadyParams, SteadySummary};
 use wsn_baselines::builtins;
 use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeId, SchemeRegistry};
-use wsn_grid::{deploy, GridNetwork, GridSystem, RegionMask, RegionShape};
+use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask, RegionShape};
 use wsn_simcore::{derive_stream_seed, Metrics, NetModelSpec, ProtocolHealth, SimRng};
 use wsn_stats::{Histogram, JsonValue, StreamingStat};
 
@@ -1480,18 +1480,30 @@ pub(crate) fn trial_stream_seed(
     }
 }
 
+/// Reusable deployment buffers: the positions of one trial and the
+/// region's enabled-cell list. A campaign worker keeps one in its
+/// [`TrialArena`], so a trial on a large grid allocates neither.
+#[derive(Default)]
+pub(crate) struct DeployBuf {
+    positions: Vec<wsn_geometry::Point2>,
+    enabled: Vec<GridCoord>,
+}
+
 /// Generates the deployment positions of a matrix trial from its stream
-/// seed — the generation half of [`build_trial_network`], shared with
-/// the per-worker [`TrialArena`] so arena-reset trials draw the
-/// byte-identical RNG stream as freshly built ones.
-pub(crate) fn trial_positions(
+/// seed into `buf` — the generation half of [`build_trial_network`],
+/// shared with the per-worker [`TrialArena`] so arena-reset trials draw
+/// the byte-identical RNG stream as freshly built ones.
+pub(crate) fn trial_positions<'b>(
     mode: CampaignMode,
     sys: &GridSystem,
     mask: &RegionMask,
     n_target: usize,
     seed: u64,
-) -> Vec<wsn_geometry::Point2> {
+    buf: &'b mut DeployBuf,
+) -> &'b [wsn_geometry::Point2] {
     let mut rng = SimRng::seed_from_u64(seed);
+    let pos = &mut buf.positions;
+    pos.clear();
     match mode {
         // Steady state and the degraded sweep open from the same §5
         // deployment the closed full-recovery trials use (degraded
@@ -1500,17 +1512,21 @@ pub(crate) fn trial_positions(
         CampaignMode::FullRecovery | CampaignMode::SteadyState | CampaignMode::Degraded => {
             // §5: "(N + m x n) enabled nodes", uniform — with m·n read
             // as the enabled-cell count of the region.
-            deploy::uniform_masked(sys, mask, n_target + mask.enabled_count(), &mut rng)
+            deploy::uniform_masked_into(sys, mask, n_target + mask.enabled_count(), &mut rng, pos);
         }
         CampaignMode::SingleReplacement => {
             // Theorem 2's setting: one hole, one node everywhere else,
             // exactly N spares over the occupied (enabled) cells.
-            let enabled: Vec<_> = mask.iter_enabled().collect();
-            let hole = enabled[rng.range_usize(enabled.len())];
-            let mut pos = deploy::with_holes_masked(sys, mask, &[hole], 1, &mut rng);
-            let occupied: Vec<_> = enabled.into_iter().filter(|c| *c != hole).collect();
+            let enabled = &mut buf.enabled;
+            enabled.clear();
+            enabled.extend(mask.iter_enabled());
+            let hole_at = rng.range_usize(enabled.len());
+            deploy::with_holes_masked_into(sys, mask, &[enabled[hole_at]], 1, &mut rng, pos);
             for _ in 0..n_target {
-                let cell = occupied[rng.range_usize(occupied.len())];
+                // The occupied cells are `enabled` minus the hole: draw
+                // an ordinal among them and step over the hole's slot.
+                let k = rng.range_usize(enabled.len() - 1);
+                let cell = enabled[k + usize::from(k >= hole_at)];
                 let rect = sys.cell_rect(cell).expect("in bounds");
                 pos.push(wsn_geometry::sample::point_in_rect(
                     &rect,
@@ -1518,9 +1534,9 @@ pub(crate) fn trial_positions(
                     rng.uniform_f64(),
                 ));
             }
-            pos
         }
     }
+    pos
 }
 
 /// Builds the deployment of a matrix trial from its stream seed — the
@@ -1535,23 +1551,46 @@ pub(crate) fn build_trial_network(
     n_target: usize,
     seed: u64,
 ) -> GridNetwork {
+    build_trial_network_in(
+        mode,
+        comm_range,
+        region,
+        (cols, rows),
+        n_target,
+        seed,
+        &mut DeployBuf::default(),
+    )
+}
+
+/// [`build_trial_network`] drawing the positions into `buf`.
+fn build_trial_network_in(
+    mode: CampaignMode,
+    comm_range: f64,
+    region: RegionShape,
+    (cols, rows): (u16, u16),
+    n_target: usize,
+    seed: u64,
+    buf: &mut DeployBuf,
+) -> GridNetwork {
     let sys = GridSystem::for_comm_range(cols, rows, comm_range)
         .expect("campaign grid dimensions are valid");
     let mask = region.build_mask(cols, rows);
-    let positions = trial_positions(mode, &sys, &mask, n_target, seed);
-    GridNetwork::with_mask(sys, mask, &positions).expect("masked generator respects the mask")
+    let positions = trial_positions(mode, &sys, &mask, n_target, seed, buf);
+    GridNetwork::with_mask(sys, mask, positions).expect("masked generator respects the mask")
 }
 
 /// Per-worker trial arena: one cached [`GridNetwork`] rebuilt in place
 /// via [`GridNetwork::reset_into`] while consecutive trials share a
 /// `(region, grid)` key, so the node vector, member pool, occupancy
 /// words and head table are allocated once per worker instead of once
-/// per trial. Trials on a new key rebuild the cache from scratch;
-/// either way the network handed out is observation-equivalent to
+/// per trial, and one [`DeployBuf`] every trial's positions are drawn
+/// into. Trials on a new key rebuild the cache from scratch; either way
+/// the network handed out is observation-equivalent to
 /// [`build_trial_network`]'s (the `reset_into` proptest pins equality).
 pub(crate) struct TrialArena {
     key: Option<(RegionShape, u16, u16)>,
     net: Option<GridNetwork>,
+    deploy: DeployBuf,
 }
 
 impl TrialArena {
@@ -1559,6 +1598,7 @@ impl TrialArena {
         TrialArena {
             key: None,
             net: None,
+            deploy: DeployBuf::default(),
         }
     }
 
@@ -1576,17 +1616,25 @@ impl TrialArena {
         let reusable = self.key == Some((region, cols, rows)) && self.net.is_some();
         if reusable {
             let net = self.net.as_mut().expect("key implies cached network");
-            let positions = trial_positions(mode, net.system(), net.mask(), n_target, seed);
-            net.reset_into(&positions)
+            let positions = trial_positions(
+                mode,
+                net.system(),
+                net.mask(),
+                n_target,
+                seed,
+                &mut self.deploy,
+            );
+            net.reset_into(positions)
                 .expect("masked generator respects the mask");
         } else {
-            self.net = Some(build_trial_network(
+            self.net = Some(build_trial_network_in(
                 mode,
                 comm_range,
                 region,
                 (cols, rows),
                 n_target,
                 seed,
+                &mut self.deploy,
             ));
             self.key = Some((region, cols, rows));
         }
@@ -2099,11 +2147,16 @@ pub fn run_campaign_resumable_with(
     let queue = WorkQueue::new(total, workers);
     let folder = Mutex::new(folder);
     std::thread::scope(|scope| {
+        // Join every worker explicitly: leaving the scope only waits for
+        // the closures to return, not for the threads to exit, and a
+        // thread still exiting holds its malloc arena away from the next
+        // campaign's workers.
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let queue = &queue;
             let folder = &folder;
             let done0 = &done0;
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 // One arena per worker: network allocations are reused
                 // across every trial the worker runs on the same
                 // (region, grid) key.
@@ -2134,7 +2187,12 @@ pub fn run_campaign_resumable_with(
                         observer,
                     );
                 }
-            });
+            }));
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let folder = folder.into_inner().expect("scope joined");
@@ -2545,7 +2603,9 @@ mod tests {
     fn trial_arena_reuse_matches_fresh_builds() {
         // Consecutive trials on the same key reset in place; a key
         // change rebuilds. Either way the network must equal the
-        // from-scratch build for the same coordinates.
+        // from-scratch build for the same coordinates, in every
+        // deployment mode (the arena's position buffer carries over
+        // between modes as well as trials).
         let mut arena = TrialArena::new();
         let coords = [
             (RegionShape::Full, (8u16, 8u16), 10usize, 0u64),
@@ -2555,16 +2615,74 @@ mod tests {
             (RegionShape::LShape, (8, 8), 10, 1),
             (RegionShape::Full, (6, 6), 10, 0),
         ];
-        for (region, grid, n, trial) in coords {
-            let seed = trial_stream_seed(20_080_617, region, grid, n, trial);
-            let mode = CampaignMode::FullRecovery;
-            let fresh = build_trial_network(mode, 10.0, region, grid, n, seed);
-            let reused = arena.network(mode, 10.0, region, grid, n, seed);
-            assert_eq!(*reused, fresh, "{region} {grid:?} N={n} t={trial}");
-            reused.debug_invariants();
-            // Dirty the cached network so the next reset has real work.
-            let any = reused.nodes().first().expect("nonempty deployment").id();
-            reused.disable_node(any).unwrap();
+        for mode in [
+            CampaignMode::FullRecovery,
+            CampaignMode::SingleReplacement,
+            CampaignMode::FullRecovery,
+        ] {
+            for (region, grid, n, trial) in coords {
+                let seed = trial_stream_seed(20_080_617, region, grid, n, trial);
+                let fresh = build_trial_network(mode, 10.0, region, grid, n, seed);
+                let reused = arena.network(mode, 10.0, region, grid, n, seed);
+                assert_eq!(*reused, fresh, "{mode:?} {region} {grid:?} N={n} t={trial}");
+                reused.debug_invariants();
+                // Dirty the cached network so the next reset has real work.
+                let any = reused.nodes().first().expect("nonempty deployment").id();
+                reused.disable_node(any).unwrap();
+            }
+        }
+    }
+
+    /// The single-replacement deployment as first written: a
+    /// materialized `occupied` list and a fresh position vector.
+    fn single_replacement_positions_reference(
+        sys: &GridSystem,
+        mask: &RegionMask,
+        n_target: usize,
+        seed: u64,
+    ) -> Vec<wsn_geometry::Point2> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let enabled: Vec<_> = mask.iter_enabled().collect();
+        let hole = enabled[rng.range_usize(enabled.len())];
+        let mut pos = deploy::with_holes_masked(sys, mask, &[hole], 1, &mut rng);
+        let occupied: Vec<_> = enabled.into_iter().filter(|c| *c != hole).collect();
+        for _ in 0..n_target {
+            let cell = occupied[rng.range_usize(occupied.len())];
+            let rect = sys.cell_rect(cell).expect("in bounds");
+            pos.push(wsn_geometry::sample::point_in_rect(
+                &rect,
+                rng.uniform_f64(),
+                rng.uniform_f64(),
+            ));
+        }
+        pos
+    }
+
+    #[test]
+    fn single_replacement_positions_match_the_materialized_reference() {
+        // The hole-skipping ordinal draw over `enabled` must pick the
+        // same cells, with the same RNG draws, as indexing the
+        // materialized `enabled \ {hole}` list did.
+        let mut buf = DeployBuf::default();
+        for region in [RegionShape::Full, RegionShape::LShape] {
+            for (cols, rows) in [(8u16, 8u16), (5, 7), (16, 16)] {
+                let sys = GridSystem::for_comm_range(cols, rows, 10.0).unwrap();
+                let mask = region.build_mask(cols, rows);
+                for trial in 0..8 {
+                    let n = [0usize, 1, 10, 100][trial as usize % 4];
+                    let seed = trial_stream_seed(20_080_617, region, (cols, rows), n, trial);
+                    let expected = single_replacement_positions_reference(&sys, &mask, n, seed);
+                    let got = trial_positions(
+                        CampaignMode::SingleReplacement,
+                        &sys,
+                        &mask,
+                        n,
+                        seed,
+                        &mut buf,
+                    );
+                    assert_eq!(got, &expected[..], "{region} {cols}x{rows} N={n} t={trial}");
+                }
+            }
         }
     }
 

@@ -235,12 +235,25 @@ pub fn bench_core(smoke: bool) -> JsonValue {
 }
 
 /// One end-to-end campaign measurement: run the matrix, report total
-/// wall time plus derived trial throughput.
+/// wall time plus derived trial throughput, and the work it did —
+/// `rounds` summed over every trial of every cell, and `ns_per_round`
+/// (`min_ns / rounds`), which stays comparable when a seed or grid
+/// change moves the round count.
 fn campaign_entry(name: &str, samples: usize, cfg: &CampaignConfig) -> JsonValue {
     let trials = cfg.trial_count();
+    let mut rounds = 0u64;
     let timing = time_ns(samples, || {
         let result = run_campaign(cfg).expect("ledger matrices are valid");
         assert_eq!(result.cells.len(), cfg.cell_count());
+        rounds = result
+            .cells
+            .iter()
+            .filter_map(|cell| cell.metric("rounds"))
+            .map(|stat| {
+                let s = stat.summary();
+                (s.mean() * s.count() as f64).round() as u64
+            })
+            .sum();
     });
     let mut entry = bench_entry(name, samples, timing);
     if let JsonValue::Obj(pairs) = &mut entry {
@@ -248,6 +261,11 @@ fn campaign_entry(name: &str, samples: usize, cfg: &CampaignConfig) -> JsonValue
         pairs.push((
             "trials_per_sec".into(),
             JsonValue::from(trials as f64 / (timing.1 / 1e9)),
+        ));
+        pairs.push(("rounds".into(), JsonValue::from(rounds)));
+        pairs.push((
+            "ns_per_round".into(),
+            JsonValue::from(timing.0 / rounds.max(1) as f64),
         ));
     }
     entry

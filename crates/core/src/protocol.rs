@@ -170,6 +170,9 @@ pub struct SrProtocol {
     pending_holes: HoleSet,
     /// Scratch buffer reused by detection sweeps (no per-round allocs).
     detect_buf: Vec<usize>,
+    /// Scratch buffer reused by the battery idle drain: this round's
+    /// heads, in row-major cell order.
+    drain_buf: Vec<NodeId>,
     /// The network link and envelopes in flight under the event drive
     /// ([`SrProtocol::with_net_model`]); `None` in the classic drive,
     /// where detection and notification are axiomatic.
@@ -216,6 +219,7 @@ impl SrProtocol {
             failed_holes: HashSet::new(),
             pending_holes,
             detect_buf: Vec::new(),
+            drain_buf: Vec::new(),
             event: None,
         }
     }
@@ -748,13 +752,10 @@ impl RoundProtocol for SrProtocol {
         //    cell's last node.
         if self.config.battery_dynamics {
             let idle = self.energy.idle_cost_per_round;
-            let heads: Vec<NodeId> = self
-                .net
-                .system()
-                .iter_coords()
-                .filter_map(|c| self.net.head_of(c).expect("in bounds"))
-                .collect();
-            for head in heads {
+            let mut heads = std::mem::take(&mut self.drain_buf);
+            heads.clear();
+            heads.extend(self.net.heads());
+            for &head in &heads {
                 self.metrics.energy += idle;
                 if self
                     .net
@@ -766,6 +767,7 @@ impl RoundProtocol for SrProtocol {
                     progress = true;
                 }
             }
+            self.drain_buf = heads;
         }
 
         // The run must not go quiescent while scheduled faults are still

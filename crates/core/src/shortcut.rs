@@ -242,18 +242,24 @@ impl ShortcutProtocol {
         let Some(ev) = &mut self.event else {
             return;
         };
-        for coord in self.net.system().iter_coords() {
+        let net = &self.net;
+        let words = net
+            .mask()
+            .enabled_words()
+            .iter()
+            .zip(net.occupancy().vacant_words())
+            .zip(net.spareful_words());
+        for (w, ((&enabled, &vacant), &spareful)) in words.enumerate() {
             // Disabled (off-ring) cells have no head; vacant cells have
             // nobody to listen; cells with a spare need no beacon.
-            if !self.net.is_cell_enabled(coord).unwrap_or(false)
-                || self.net.is_vacant(coord).unwrap_or(true)
-                || self.net.spare_count(coord).unwrap_or(0) > 0
-            {
-                continue;
+            let mut listeners = enabled & !vacant & !spareful;
+            while listeners != 0 {
+                let idx = w * u64::BITS as usize + listeners.trailing_zeros() as usize;
+                listeners &= listeners - 1;
+                let coord = net.system().coord_of(idx);
+                let pred = self.cycle.predecessor(coord);
+                ev.link.sense(endpoint(net, pred), endpoint(net, coord));
             }
-            let pred = self.cycle.predecessor(coord);
-            ev.link
-                .sense(endpoint(&self.net, pred), endpoint(&self.net, coord));
         }
     }
 

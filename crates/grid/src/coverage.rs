@@ -148,9 +148,8 @@ pub fn k_coverage_fraction(net: &GridNetwork, k: usize, resolution: usize) -> f6
     assert!(resolution >= 1, "resolution must be >= 1");
     let sys = net.system();
     let sensing = SENSING_RANGE_FACTOR * sys.cell_side();
-    let disks: Vec<Disk> = sys
-        .iter_coords()
-        .filter_map(|c| net.head_of(c).expect("in bounds"))
+    let disks: Vec<Disk> = net
+        .heads()
         .map(|id| {
             Disk::new(net.node(id).expect("deployed").position(), sensing)
                 .expect("valid sensing radius")

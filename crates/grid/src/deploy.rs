@@ -156,6 +156,25 @@ pub fn uniform_masked(
     count: usize,
     rng: &mut SimRng,
 ) -> Vec<Point2> {
+    let mut out = Vec::new();
+    uniform_masked_into(system, mask, count, rng, &mut out);
+    out
+}
+
+/// [`uniform_masked`] appending to `out` instead of allocating: the
+/// same RNG draws and positions, so callers can reuse one buffer across
+/// deployments.
+///
+/// # Panics
+///
+/// As [`uniform_masked`].
+pub fn uniform_masked_into(
+    system: &GridSystem,
+    mask: &RegionMask,
+    count: usize,
+    rng: &mut SimRng,
+    out: &mut Vec<Point2>,
+) {
     mask.check_dims(system.cols(), system.rows())
         .expect("mask must match the grid dimensions");
     assert!(
@@ -163,15 +182,15 @@ pub fn uniform_masked(
         "cannot deploy into an all-disabled region"
     );
     let area = system.area();
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
+    let end = out.len() + count;
+    out.reserve(count);
+    while out.len() < end {
         let p = sample::point_in_rect(&area, rng.uniform_f64(), rng.uniform_f64());
         let cell = system.cell_of(p).expect("sampled inside area");
         if mask.is_enabled(cell) {
             out.push(p);
         }
     }
-    out
 }
 
 /// Exactly `per_cell` nodes in every *enabled* cell of `mask` — the
@@ -212,9 +231,24 @@ pub fn with_holes_masked(
     per_occupied_cell: usize,
     rng: &mut SimRng,
 ) -> Vec<Point2> {
+    let mut out = Vec::new();
+    with_holes_masked_into(system, mask, holes, per_occupied_cell, rng, &mut out);
+    out
+}
+
+/// [`with_holes_masked`] appending to `out` instead of allocating: the
+/// same RNG draws and positions, so callers can reuse one buffer across
+/// deployments.
+pub fn with_holes_masked_into(
+    system: &GridSystem,
+    mask: &RegionMask,
+    holes: &[GridCoord],
+    per_occupied_cell: usize,
+    rng: &mut SimRng,
+    out: &mut Vec<Point2>,
+) {
     mask.check_dims(system.cols(), system.rows())
         .expect("mask must match the grid dimensions");
-    let mut out = Vec::new();
     for coord in mask.iter_enabled() {
         if holes.contains(&coord) {
             continue;
@@ -230,7 +264,6 @@ pub fn with_holes_masked(
             ));
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -48,7 +48,9 @@ pub struct NetworkStats {
 /// * a cell's head, when set, is one of its members;
 /// * a cell with no members ("vacant" — the paper's *hole*) has no head;
 /// * the [`VacancySet`] bitset and the enabled counter agree with the
-///   member table (every mutation path maintains them in O(1)).
+///   member table (every mutation path maintains them in O(1));
+/// * the headless bitset holds exactly the cells with members and no
+///   head, so [`GridNetwork::repair_heads`] visits only those.
 ///
 /// Occupancy queries (`stats`, `vacant_count`, `total_spares`,
 /// `spare_count`) are O(1); vacancy enumeration (`vacant_iter`) is
@@ -79,6 +81,11 @@ pub struct GridNetwork {
     members: MemberTable,
     /// Elected head per cell.
     heads: Vec<Option<NodeId>>,
+    /// One bit per cell, set ⇔ the cell has members but no head: the
+    /// cells [`GridNetwork::repair_heads`] must elect in. Every mutation
+    /// of `heads` or `members` re-derives the touched cells' bits
+    /// through `sync_headless`.
+    headless: HoleSet,
     /// One bit per deployed node, set ⇔ enabled: the rank/select
     /// surface [`GridNetwork::apply_fault`] samples random victims
     /// from without materializing an id list.
@@ -131,6 +138,7 @@ impl GridNetwork {
             nodes: Vec::new(),
             members: MemberTable::new(cells),
             heads: vec![None; cells],
+            headless: HoleSet::new(cells),
             enabled_bits: Vec::new(),
             occupancy: VacancySet::new(cells),
             enabled: 0,
@@ -207,12 +215,14 @@ impl GridNetwork {
         }
         self.enabled = nodes.len();
         self.occupancy.reset(cells);
+        self.headless.reset(cells);
         for idx in 0..cells {
             // Disabled cells read as occupied forever: no vacancy query
             // or change-journal consumer ever sees them as holes.
             if self.members.len_of(idx) > 0 || !self.mask.index_enabled(idx) {
                 self.occupancy.set_occupied(idx);
             }
+            self.sync_headless(idx);
         }
         // A freshly deployed network starts with a clean journal: the
         // initial state is the consumer's baseline, not a change.
@@ -352,6 +362,13 @@ impl GridNetwork {
     /// grid.
     pub fn head_of(&self, coord: GridCoord) -> Result<Option<NodeId>> {
         Ok(self.heads[self.system.index_of(coord)?])
+    }
+
+    /// Iterates the elected heads in row-major cell order, reading the
+    /// head slots directly: no allocation and no per-cell coordinate
+    /// lookup.
+    pub fn heads(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.heads.iter().flatten().copied()
     }
 
     /// `true` when `coord` is an enabled cell holding no enabled node —
@@ -498,26 +515,51 @@ impl GridNetwork {
                 .cell_center(coord)
                 .expect("coord_of yields in-bounds coords");
             self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
+            self.sync_headless(idx);
         }
     }
 
     /// Re-elects heads only in cells that have members but no head
     /// (after a head was disabled or moved away). Returns how many cells
     /// were repaired.
+    ///
+    /// Cost: O(1) when no cell is headless, otherwise `cells/64` word
+    /// reads of the headless bitset plus one election per headless cell.
+    /// Cells are visited in ascending row-major order, exactly the order
+    /// of a full scan, so [`HeadElection::Random`] draws are unchanged.
     pub fn repair_heads(&mut self, policy: HeadElection, rng: &mut SimRng) -> usize {
+        if self.headless.is_empty() {
+            return 0;
+        }
         let mut repaired = 0;
-        for idx in 0..self.members.cells() {
-            if self.heads[idx].is_none() && self.members.len_of(idx) > 0 {
+        for w in 0..self.headless.words().len() {
+            let mut word = self.headless.words()[w];
+            while word != 0 {
+                let idx = w * WORD_BITS + word.trailing_zeros() as usize;
+                word &= word - 1;
                 let coord = self.system.coord_of(idx);
                 let center = self
                     .system
                     .cell_center(coord)
                     .expect("coord_of yields in-bounds coords");
                 self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
+                self.sync_headless(idx);
                 repaired += 1;
             }
         }
         repaired
+    }
+
+    /// Re-derives cell `idx`'s headless bit from `heads` and `members`.
+    /// Every mutation that can change either side calls this for each
+    /// cell it touches.
+    #[inline]
+    fn sync_headless(&mut self, idx: usize) {
+        if self.heads[idx].is_none() && self.members.len_of(idx) > 0 {
+            self.headless.insert(idx);
+        } else {
+            self.headless.remove(idx);
+        }
     }
 
     /// Makes `id` the head of `coord`.
@@ -533,6 +575,7 @@ impl GridNetwork {
             return Err(GridError::UnknownNode { index: id.index() });
         }
         self.heads[idx] = Some(id);
+        self.sync_headless(idx);
         Ok(())
     }
 
@@ -580,6 +623,7 @@ impl GridNetwork {
         self.enabled_bits[id.index() / WORD_BITS] |= 1u64 << (id.index() % WORD_BITS);
         self.enabled += 1;
         self.occupancy.set_occupied(idx);
+        self.sync_headless(idx);
         Ok(id)
     }
 
@@ -610,6 +654,7 @@ impl GridNetwork {
         if self.heads[idx] == Some(id) {
             self.heads[idx] = None;
         }
+        self.sync_headless(idx);
         self.enabled -= 1;
         self.enabled_bits[id.index() / WORD_BITS] &= !(1u64 << (id.index() % WORD_BITS));
         if self.members.len_of(idx) == 0 {
@@ -690,6 +735,8 @@ impl GridNetwork {
                 self.occupancy.set_vacant(from_idx);
             }
             self.occupancy.set_occupied(to_idx);
+            self.sync_headless(from_idx);
+            self.sync_headless(to_idx);
         }
         Ok(MoveOutcome {
             from: from_cell,
@@ -800,7 +847,17 @@ impl GridNetwork {
             if let Some(h) = self.heads[idx] {
                 assert!(m.contains(&h), "head {h} of {coord} not a member");
             }
+            assert_eq!(
+                self.headless.contains(idx),
+                self.heads[idx].is_none() && !m.is_empty(),
+                "headless bit of {coord} out of sync with heads/members"
+            );
         }
+        assert_eq!(
+            (self.headless.cells(), self.headless.len()),
+            (self.members.cells(), self.headless.iter().count()),
+            "headless bitset domain or counter out of sync"
+        );
         for node in &self.nodes {
             let i = node.id().index();
             if node.status().is_enabled() {

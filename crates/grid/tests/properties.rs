@@ -394,6 +394,92 @@ proptest! {
     }
 
     #[test]
+    fn headless_repair_matches_full_scan_oracle(
+        (cols, rows) in (2u16..12, 2u16..12), count in 0usize..250,
+        seed in 0u64..1000, steps in 1usize..40, shape_idx in 0usize..5,
+    ) {
+        // After ANY sequence of head-affecting mutations, on full and
+        // masked regions, the bitset-driven repair elects in exactly the
+        // cells, order and RNG draws of a full row-major scan.
+        let sys = GridSystem::new(cols, rows, 2.0).unwrap();
+        let mask = if shape_idx == 0 {
+            RegionMask::full(cols, rows)
+        } else {
+            RegionShape::IRREGULAR[shape_idx - 1].build_mask(cols, rows)
+        };
+        let mut rng = SimRng::seed_from_u64(seed);
+        let pos = deploy::uniform_masked(&sys, &mask, count, &mut rng);
+        let mut net = GridNetwork::with_mask(sys, mask, &pos).unwrap();
+        let enabled_cells: Vec<GridCoord> = net.mask().iter_enabled().collect();
+        let random_point = |rng: &mut SimRng| {
+            let cell = enabled_cells[rng.range_usize(enabled_cells.len())];
+            let rect = sys.cell_rect(cell).unwrap();
+            wsn_geometry::sample::point_in_rect(&rect, rng.uniform_f64(), rng.uniform_f64())
+        };
+        for _ in 0..steps {
+            let nodes = net.node_count() as u32;
+            match rng.range_u32(7) {
+                0 => {
+                    if nodes > 0 {
+                        let _ = net.disable_node(NodeId::new(rng.range_u32(nodes)));
+                    }
+                }
+                1 => {
+                    // Move any node (a spare, a head or a disabled one).
+                    if nodes > 0 {
+                        let id = NodeId::new(rng.range_u32(nodes));
+                        let target = random_point(&mut rng);
+                        let _ = net.move_node(id, target);
+                    }
+                }
+                2 => {
+                    // Move a head out of its cell.
+                    let heads: Vec<NodeId> = net.heads().collect();
+                    if !heads.is_empty() {
+                        let id = heads[rng.range_usize(heads.len())];
+                        let target = random_point(&mut rng);
+                        let _ = net.move_node(id, target);
+                    }
+                }
+                3 => {
+                    let p = random_point(&mut rng);
+                    net.add_node(p).unwrap();
+                }
+                4 => {
+                    let cell = enabled_cells[rng.range_usize(enabled_cells.len())];
+                    let members = net.members(cell).unwrap().to_vec();
+                    if !members.is_empty() {
+                        let id = members[rng.range_usize(members.len())];
+                        net.set_head(cell, id).unwrap();
+                    }
+                }
+                5 => net.elect_all_heads(HeadElection::FirstId, &mut rng),
+                _ => {
+                    let _ = net.apply_fault(
+                        &FaultEvent::KillRandomEnabled { count: rng.range_usize(5) },
+                        &mut rng,
+                    );
+                }
+            }
+            net.debug_invariants();
+        }
+        let mut reference = net.clone();
+        let mut reference_rng = rng.clone();
+        let repaired = net.repair_heads(HeadElection::Random, &mut rng);
+        let expected = repair_heads_full_scan(&mut reference, &mut reference_rng);
+        prop_assert_eq!(repaired, expected);
+        let heads: Vec<Option<NodeId>> =
+            sys.iter_coords().map(|c| net.head_of(c).unwrap()).collect();
+        let reference_heads: Vec<Option<NodeId>> =
+            sys.iter_coords().map(|c| reference.head_of(c).unwrap()).collect();
+        prop_assert_eq!(heads, reference_heads);
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
+        net.debug_invariants();
+        // Every occupied cell is headed, so a second repair is a no-op.
+        prop_assert_eq!(net.repair_heads(HeadElection::Random, &mut rng), 0);
+    }
+
+    #[test]
     fn target_spares_hits_target((cols, rows) in (2u16..10, 2u16..10), target in 0usize..60, seed in 0u64..500) {
         let sys = GridSystem::new(cols, rows, 2.0).unwrap();
         let mut rng = SimRng::seed_from_u64(seed);
@@ -424,6 +510,25 @@ proptest! {
             }
         }
     }
+}
+
+/// Head repair as a full row-major scan of every cell: the reference
+/// the headless-bitset repair must reproduce draw for draw.
+fn repair_heads_full_scan(net: &mut GridNetwork, rng: &mut SimRng) -> usize {
+    let sys = *net.system();
+    let mut repaired = 0;
+    for c in sys.iter_coords() {
+        let members = net.members(c).unwrap();
+        if net.head_of(c).unwrap().is_none() && !members.is_empty() {
+            let center = sys.cell_center(c).unwrap();
+            let head = HeadElection::Random
+                .elect(members, net.nodes(), center, rng)
+                .unwrap();
+            net.set_head(c, head).unwrap();
+            repaired += 1;
+        }
+    }
+    repaired
 }
 
 #[test]
