@@ -8,6 +8,9 @@
 //!   set) vs the [`HoleSet`] word kernel, full `O(cells)` hole scans vs
 //!   the bulk word copy, the masked-ring successor walk over the flat
 //!   tables, and [`GridNetwork::reset_into`] vs a from-scratch build.
+//!   The `trial_reset_*` entries (64×64, and on full runs the 256×256
+//!   single-replacement setup) also carry `cells`, `nodes` and
+//!   `ns_per_node`.
 //!   The file also carries `kernel_speedup_min`, the acceptance ratio of
 //!   the kernel refactor (word kernel ≥ 5× the `BTreeSet` fold on a
 //!   256×256 mass-failure journal).
@@ -212,16 +215,19 @@ pub fn bench_core(smoke: bool) -> JsonValue {
         let net = build_trial_network(mode, 10.0, RegionShape::Full, grid, 100, seed);
         assert!(!net.nodes().is_empty());
     });
-    let mut arena = TrialArena::new();
-    arena.network(mode, 10.0, RegionShape::Full, grid, 100, seed); // warm the key
-    let arena_reset = time_ns(build_samples, || {
-        let net = arena.network(mode, 10.0, RegionShape::Full, grid, 100, seed);
-        assert!(!net.nodes().is_empty());
-    });
 
     entries.push(bench_entry("masked_ring_walk_64x64", samples, ring_walk));
     entries.push(bench_entry("trial_build_64x64", build_samples, fresh_build));
-    entries.push(bench_entry("trial_reset_64x64", build_samples, arena_reset));
+    entries.push(trial_reset_entry(mode, grid, build_samples));
+    if !smoke {
+        // Theorem 2's setting at the large_sparse grid: one node per
+        // cell, one hole, N spares — the setup a sparse SR trial pays.
+        entries.push(trial_reset_entry(
+            CampaignMode::SingleReplacement,
+            (256, 256),
+            build_samples,
+        ));
+    }
     JsonValue::obj([
         ("schema", JsonValue::from("wsn-bench-core/1")),
         (
@@ -232,6 +238,38 @@ pub fn bench_core(smoke: bool) -> JsonValue {
         ("kernel_speedup_min", JsonValue::from(speedup)),
         ("benchmarks", JsonValue::Arr(entries)),
     ])
+}
+
+/// Per-trial setup through the campaign's [`TrialArena`] on one `Full`
+/// grid with N = 100: the trial's deployment drawn into the reused
+/// buffer, then [`GridNetwork::reset_into`] over the cached network.
+/// The entry adds the work it covers — `cells`, `nodes` — and
+/// `ns_per_node` (`min_ns / nodes`), the rebuild's unit cost.
+fn trial_reset_entry(mode: CampaignMode, grid: (u16, u16), samples: usize) -> JsonValue {
+    let seed = trial_stream_seed(20_080_617, RegionShape::Full, grid, 100, 0);
+    let mut arena = TrialArena::new();
+    // The first call builds the cached network (warms the key).
+    let nodes = arena
+        .network(mode, 10.0, RegionShape::Full, grid, 100, seed)
+        .node_count();
+    let timing = time_ns(samples, || {
+        let net = arena.network(mode, 10.0, RegionShape::Full, grid, 100, seed);
+        assert_eq!(net.node_count(), nodes);
+    });
+    let (cols, rows) = grid;
+    let mut entry = bench_entry(&format!("trial_reset_{cols}x{rows}"), samples, timing);
+    if let JsonValue::Obj(pairs) = &mut entry {
+        pairs.push((
+            "cells".into(),
+            JsonValue::from(usize::from(cols) * usize::from(rows)),
+        ));
+        pairs.push(("nodes".into(), JsonValue::from(nodes)));
+        pairs.push((
+            "ns_per_node".into(),
+            JsonValue::from(timing.0 / nodes.max(1) as f64),
+        ));
+    }
+    entry
 }
 
 /// One end-to-end campaign measurement: run the matrix, report total
@@ -724,6 +762,22 @@ mod tests {
             "{names:?}"
         );
         assert!(names.contains(&"trial_reset_64x64".to_owned()), "{names:?}");
+        let reset = doc
+            .get("benchmarks")
+            .and_then(JsonValue::as_arr)
+            .and_then(|entries| {
+                entries.iter().find(|e| {
+                    e.get("name").and_then(JsonValue::as_str) == Some("trial_reset_64x64")
+                })
+            })
+            .expect("reset entry");
+        let nodes = reset.get("nodes").and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(nodes, (64 * 64 + 100) as f64, "N = 100 over a full grid");
+        let min_ns = reset.get("min_ns").and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(
+            reset.get("ns_per_node").and_then(JsonValue::as_f64),
+            Some(min_ns / nodes)
+        );
         // Parses back: the gate can read what the ledger writes.
         let parsed = JsonValue::parse(&doc.to_file_string()).unwrap();
         assert_eq!(parsed, doc);

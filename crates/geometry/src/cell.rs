@@ -96,6 +96,7 @@ impl CellGeometry {
     }
 
     /// Rectangle of the cell at integer grid index `(x, y)`.
+    #[inline]
     pub fn cell_rect(&self, x: u32, y: u32) -> Rect {
         let min = Point2::new(
             self.origin.x + x as f64 * self.side,

@@ -40,6 +40,7 @@ impl Rect {
     /// infinite, and [`GeometryError::InvertedRect`] if `min` exceeds
     /// `max` in either dimension. Zero-width or zero-height rectangles are
     /// allowed (they are useful as degenerate query boxes).
+    #[inline]
     pub fn new(min: Point2, max: Point2) -> Result<Rect> {
         if !min.is_finite() || !max.is_finite() {
             return Err(GeometryError::NonFinite {
@@ -62,6 +63,7 @@ impl Rect {
     /// Returns [`GeometryError::NonPositiveExtent`] when `width` or
     /// `height` is not strictly positive, and [`GeometryError::NonFinite`]
     /// on non-finite input.
+    #[inline]
     pub fn from_size(min: Point2, width: f64, height: f64) -> Result<Rect> {
         if !width.is_finite() || !height.is_finite() {
             return Err(GeometryError::NonFinite {

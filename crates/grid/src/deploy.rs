@@ -186,8 +186,8 @@ pub fn uniform_masked_into(
     out.reserve(count);
     while out.len() < end {
         let p = sample::point_in_rect(&area, rng.uniform_f64(), rng.uniform_f64());
-        let cell = system.cell_of(p).expect("sampled inside area");
-        if mask.is_enabled(cell) {
+        let idx = system.index_at(p).expect("sampled inside area");
+        if mask.index_enabled(idx) {
             out.push(p);
         }
     }
@@ -249,13 +249,16 @@ pub fn with_holes_masked_into(
 ) {
     mask.check_dims(system.cols(), system.rows())
         .expect("mask must match the grid dimensions");
+    out.reserve(mask.enabled_count() * per_occupied_cell);
     for coord in mask.iter_enabled() {
         if holes.contains(&coord) {
             continue;
         }
+        // The mask matches the grid, so its coordinates need no bounds
+        // re-check: take the rect straight from the cell geometry.
         let rect = system
-            .cell_rect(coord)
-            .expect("mask coords are in the grid");
+            .geometry()
+            .cell_rect(u32::from(coord.x), u32::from(coord.y));
         for _ in 0..per_occupied_cell {
             out.push(sample::point_in_rect(
                 &rect,

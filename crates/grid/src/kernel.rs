@@ -142,6 +142,15 @@ impl HoleSet {
         self.len = 0;
     }
 
+    /// Overwrites the membership bits of cells `64·w .. 64·w + 63` with
+    /// `word`, keeping the counter exact: a word-level bulk load for
+    /// owners that derive the set from other bitsets. Trailing bits past
+    /// the last cell must be clear in `word`.
+    pub(crate) fn assign_word(&mut self, w: usize, word: u64) {
+        let old = std::mem::replace(&mut self.words[w], word);
+        self.len = self.len - old.count_ones() as usize + word.count_ones() as usize;
+    }
+
     /// **Bulk hole detection.** Overwrites the set with every vacant
     /// cell of `occupancy`: a straight word copy plus one popcount per
     /// word — `cells/64` word ops, no per-cell iteration. Equivalent to
@@ -226,15 +235,31 @@ impl HoleSet {
     /// Iterates the pending cell indices in ascending (row-major) order
     /// without allocating, skipping empty 64-cell blocks — the exact
     /// visit order of the `BTreeSet<usize>` it replaces.
+    ///
+    /// The walk stops after the `len()`-th cell, so an empty set reads no
+    /// word and a set whose members sit in its first blocks never reads
+    /// the (empty) tail: one pending hole costs the words up to its own.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let base = w * WORD_BITS;
-            std::iter::successors((word != 0).then_some(word), |&rest| {
-                let next = rest & (rest - 1);
-                (next != 0).then_some(next)
+        debug_assert_eq!(
+            self.len,
+            self.words
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>(),
+            "HoleSet counter out of sync with its words"
+        );
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let base = w * WORD_BITS;
+                std::iter::successors((word != 0).then_some(word), |&rest| {
+                    let next = rest & (rest - 1);
+                    (next != 0).then_some(next)
+                })
+                .map(move |rest| base + rest.trailing_zeros() as usize)
             })
-            .map(move |rest| base + rest.trailing_zeros() as usize)
-        })
+            .take(self.len)
     }
 }
 

@@ -259,19 +259,32 @@ impl RegionMask {
     }
 
     /// Iterates the enabled cells in row-major order without allocating.
+    ///
+    /// Set bits are found a word at a time and turned into coordinates by
+    /// walking the rows alongside them (indices only grow), so the cost
+    /// is one step per enabled cell plus one per row — no division or
+    /// remainder per cell.
     pub fn iter_enabled(&self) -> impl Iterator<Item = GridCoord> + '_ {
         let cols = self.cols as usize;
-        self.words.iter().enumerate().flat_map(move |(w, &word)| {
-            let base = w * WORD_BITS;
-            std::iter::successors((word != 0).then_some(word), |&rest| {
-                let next = rest & (rest - 1);
-                (next != 0).then_some(next)
+        let (mut row_start, mut y) = (0usize, 0u16);
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let base = w * WORD_BITS;
+                std::iter::successors((word != 0).then_some(word), |&rest| {
+                    let next = rest & (rest - 1);
+                    (next != 0).then_some(next)
+                })
+                .map(move |rest| base + rest.trailing_zeros() as usize)
             })
-            .map(move |rest| {
-                let i = base + rest.trailing_zeros() as usize;
-                GridCoord::new((i % cols) as u16, (i / cols) as u16)
+            .map(move |i| {
+                while i - row_start >= cols {
+                    row_start += cols;
+                    y += 1;
+                }
+                GridCoord::new((i - row_start) as u16, y)
             })
-        })
     }
 
     /// The in-mask 4-neighbors of `coord` (0 to 4 of them).
@@ -548,6 +561,27 @@ mod tests {
         assert_eq!(m.iter_enabled().count(), 70);
         assert!(m.is_connected());
         assert!(!m.to_string().is_empty());
+    }
+
+    #[test]
+    fn iter_enabled_walks_rows_in_row_major_order() {
+        // Widths below, at and above a word, whole empty rows (the
+        // corridor's and the disabled band's), and a 1-wide strip.
+        let masks = [
+            RegionMask::full(1, 70),
+            RegionMask::full(64, 3),
+            RegionMask::corridor(13, 11),
+            RegionMask::full(100, 9).difference_rect(0, 2, 99, 5),
+            RegionMask::annulus(70, 70),
+            RegionMask::random_obstacles(37, 29, 40, 7),
+        ];
+        for m in &masks {
+            let scan: Vec<GridCoord> = (0..m.rows())
+                .flat_map(|y| (0..m.cols()).map(move |x| GridCoord::new(x, y)))
+                .filter(|&c| m.is_enabled(c))
+                .collect();
+            assert_eq!(m.iter_enabled().collect::<Vec<_>>(), scan);
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * **reads** are one slab load plus a contiguous slice — cache-dense
 //!   row-major sweeps instead of a pointer chase per cell;
-//! * **rebuilds** ([`MemberTable::rebuild_with`]) are two counting
-//!   passes over the node list into the reused pool — zero per-cell
-//!   allocations, which is what makes the per-trial arena
+//! * **rebuilds** ([`MemberTable::rebuild_staged`]) are two counting
+//!   passes over the staged node cells into the reused pool — zero
+//!   per-cell allocations — whose layout pass also emits the per-word
+//!   occupancy bits, which is what makes the per-trial arena
 //!   (`GridNetwork::reset_into`) cheap;
 //! * **moves** append in place while the slab has headroom; an
 //!   overflowing cell relocates to a larger span taken from an intrusive
@@ -67,6 +68,9 @@ pub(crate) struct MemberTable {
     /// One bit per cell, set ⇔ the cell holds ≥ 2 members (i.e. at
     /// least one spare under occupancy accounting).
     multi: Vec<u64>,
+    /// Per-node cell indices staged for the next rebuild (see
+    /// [`MemberTable::stage`]); scratch, not part of the logical state.
+    staged: Vec<u32>,
 }
 
 impl MemberTable {
@@ -77,6 +81,7 @@ impl MemberTable {
             slabs: vec![Slab::default(); cells],
             free: Vec::new(),
             multi: vec![0u64; cells.div_ceil(WORD_BITS)],
+            staged: Vec::new(),
         }
     }
 
@@ -151,43 +156,59 @@ impl MemberTable {
         true
     }
 
-    /// Rebuilds the table in place for `node_count` nodes over `cells`
-    /// cells: `cell_of(i)` names node `i`'s cell. Two counting passes
-    /// lay out exact-fit contiguous slabs in the reused pool — no
-    /// per-cell allocation, empty free list. Node order within a cell is
-    /// ascending id, identical to pushing nodes in id order.
-    pub(crate) fn rebuild_with(
-        &mut self,
-        cells: usize,
-        node_count: usize,
-        mut cell_of: impl FnMut(usize) -> usize,
-    ) {
+    /// Empties and returns the staging buffer of the next
+    /// [`MemberTable::rebuild_staged`]: the caller pushes node `i`'s
+    /// dense cell index as entry `i`. Staging never touches the table's
+    /// logical state, so a caller may abandon it half-filled.
+    pub(crate) fn stage(&mut self) -> &mut Vec<u32> {
+        self.staged.clear();
+        &mut self.staged
+    }
+
+    /// Rebuilds the table in place over `cells` cells from the staged
+    /// node cells (node `i` in cell `staged[i]`). Two counting passes
+    /// over the nodes lay out exact-fit contiguous slabs in the reused
+    /// pool — no per-cell allocation, empty free list — and node order
+    /// within a cell is ascending id, identical to pushing nodes in id
+    /// order.
+    ///
+    /// The layout pass hands `occupied(w, word)` each 64-cell word's
+    /// "has members" bits, in ascending `w`, so the caller derives its
+    /// own per-cell bitsets with one word operation per 64 cells.
+    pub(crate) fn rebuild_staged(&mut self, cells: usize, mut occupied: impl FnMut(usize, u64)) {
+        let staged = std::mem::take(&mut self.staged);
         self.slabs.clear();
         self.slabs.resize(cells, Slab::default());
         self.free.clear();
         self.multi.clear();
         self.multi.resize(cells.div_ceil(WORD_BITS), 0u64);
         // Pass 1: count members per cell (cap doubles as the counter).
-        for i in 0..node_count {
-            self.slabs[cell_of(i)].cap += 1;
+        for &c in &staged {
+            self.slabs[c as usize].cap += 1;
         }
-        // Exact-fit prefix layout.
+        // Exact-fit prefix layout, emitting the occupancy and
+        // spare-availability bits a word at a time.
         let mut offset = 0u32;
-        for (idx, slab) in self.slabs.iter_mut().enumerate() {
-            slab.start = offset;
-            offset += slab.cap;
-            if slab.cap >= 2 {
-                self.multi[idx / WORD_BITS] |= 1u64 << (idx % WORD_BITS);
+        for (w, chunk) in self.slabs.chunks_mut(WORD_BITS).enumerate() {
+            let (mut has, mut multi) = (0u64, 0u64);
+            for (b, slab) in chunk.iter_mut().enumerate() {
+                slab.start = offset;
+                offset += slab.cap;
+                has |= u64::from(slab.cap > 0) << b;
+                multi |= u64::from(slab.cap >= 2) << b;
             }
+            self.multi[w] = multi;
+            occupied(w, has);
         }
         self.pool.clear();
-        self.pool.resize(node_count, POOL_SENTINEL);
+        self.pool.resize(staged.len(), POOL_SENTINEL);
         // Pass 2: fill in node-id order.
-        for i in 0..node_count {
-            let slab = &mut self.slabs[cell_of(i)];
+        for (i, &c) in staged.iter().enumerate() {
+            let slab = &mut self.slabs[c as usize];
             self.pool[(slab.start + slab.len) as usize] = NodeId::new(i as u32);
             slab.len += 1;
         }
+        self.staged = staged;
     }
 
     /// Takes a span of at least `want` slots: first-fit from the free
@@ -314,12 +335,36 @@ mod tests {
             t.push(2, NodeId::new(i)); // dirty state to overwrite
         }
         // Nodes 0..6 alternate between cells 0 and 2.
-        t.rebuild_with(3, 6, |i| if i % 2 == 0 { 0 } else { 2 });
+        t.stage()
+            .extend((0..6).map(|i| if i % 2 == 0 { 0 } else { 2 }));
+        let mut occupied = Vec::new();
+        t.rebuild_staged(3, |w, word| occupied.push((w, word)));
+        assert_eq!(occupied, vec![(0, 0b101)]);
         assert_eq!(t.cell(0), ids(&[0, 2, 4]).as_slice());
         assert_eq!(t.cell(1), &[] as &[NodeId]);
         assert_eq!(t.cell(2), ids(&[1, 3, 5]).as_slice());
         assert_eq!(t.pool.len(), 6, "rebuild lays out exact fit");
         assert_eq!(t.total_members(), 6);
+        t.verify();
+    }
+
+    #[test]
+    fn rebuild_emits_occupancy_words_across_word_boundaries() {
+        // 130 cells: two full words and a 2-cell tail.
+        let cells = [0u32, 0, 63, 64, 129, 129, 129, 5];
+        let mut t = MemberTable::new(4);
+        t.stage().extend(cells);
+        let mut words = Vec::new();
+        t.rebuild_staged(130, |w, word| words.push((w, word)));
+        let want_multi = [1u64, 0, 1 << 1];
+        let want_has = [1u64 | 1 << 5 | 1 << 63, 1, 1 << 1];
+        assert_eq!(
+            words,
+            vec![(0, want_has[0]), (1, want_has[1]), (2, want_has[2])]
+        );
+        assert_eq!(t.multi_words(), &want_multi);
+        assert_eq!(t.cell(129), ids(&[4, 5, 6]).as_slice());
+        assert_eq!(t.cells(), 130);
         t.verify();
     }
 
@@ -330,7 +375,8 @@ mod tests {
         for i in 0..6 {
             a.push(0, NodeId::new(i)); // relocated layout with headroom
         }
-        b.rebuild_with(2, 6, |_| 0); // exact-fit layout
+        b.stage().extend([0; 6]);
+        b.rebuild_staged(2, |_, _| {}); // exact-fit layout
         assert_eq!(a, b);
         b.push(1, NodeId::new(9));
         assert_ne!(a, b);

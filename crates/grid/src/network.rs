@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use wsn_geometry::Point2;
+use wsn_geometry::{Point2, Rect};
 use wsn_simcore::{FaultEvent, NodeId, SensorNode, SimRng};
 
 use crate::members::MemberTable;
@@ -148,11 +148,11 @@ impl GridNetwork {
         Ok(net)
     }
 
-    /// Clamps `raw` into the surveillance area and names its cell. The
-    /// area rect is half-open per cell mapping; points on the top/right
-    /// boundary are nudged inwards so they land in the last cell.
-    fn clamp_position(system: &GridSystem, raw: Point2) -> (Point2, GridCoord) {
-        let area = system.area();
+    /// Clamps `raw` into `area` (the system's surveillance area, built
+    /// once by the caller). The area rect is half-open per cell mapping;
+    /// points on the top/right boundary are nudged inwards so they land
+    /// in the last cell.
+    fn clamp_into(area: &Rect, raw: Point2) -> Point2 {
         let mut p = area.clamp_point(raw);
         if p.x >= area.max().x {
             p.x = f64::from(f32::from_bits((p.x as f32).to_bits() - 1));
@@ -160,10 +160,17 @@ impl GridNetwork {
         if p.y >= area.max().y {
             p.y = f64::from(f32::from_bits((p.y as f32).to_bits() - 1));
         }
-        let cell = system
-            .cell_of(p)
+        p
+    }
+
+    /// [`GridNetwork::clamp_into`] plus the dense index of the clamped
+    /// position's cell.
+    fn clamp_position(system: &GridSystem, area: &Rect, raw: Point2) -> (Point2, usize) {
+        let p = GridNetwork::clamp_into(area, raw);
+        let idx = system
+            .index_at(p)
             .expect("clamped position must be inside the area");
-        (p, cell)
+        (p, idx)
     }
 
     /// Re-deploys the network at `positions` **in place**, reusing every
@@ -174,59 +181,61 @@ impl GridNetwork {
     /// but a campaign trial pays zero per-cell allocations to get there
     /// (the property tests pin the equality).
     ///
+    /// Cost: one clamp-and-map pass over the nodes (validation), one pass
+    /// building the node table, the member table's two counting passes,
+    /// and `cells/64` word operations that derive the occupancy and
+    /// headless bitsets from the member layout — no per-cell journal
+    /// write, no per-cell division.
+    ///
     /// # Errors
     ///
     /// [`GridError::CellDisabled`] when any (clamped) position lands in
     /// a disabled cell; the network is left unchanged in that case.
     pub fn reset_into(&mut self, positions: &[Point2]) -> Result<()> {
-        // Validate first so a rejected deployment leaves the current
-        // trial's state intact.
+        // Map and validate first so a rejected deployment leaves the
+        // current trial's state intact (staging is scratch, not state).
+        let area = self.system.area();
+        let staged = self.members.stage();
         for &raw in positions {
-            let (_, cell) = GridNetwork::clamp_position(&self.system, raw);
-            if !self.mask.is_enabled(cell) {
-                return Err(GridError::CellDisabled { coord: cell });
+            let (_, idx) = GridNetwork::clamp_position(&self.system, &area, raw);
+            if !self.mask.index_enabled(idx) {
+                return Err(GridError::CellDisabled {
+                    coord: self.system.coord_of(idx),
+                });
             }
+            staged.push(idx as u32);
         }
         let cells = self.system.cell_count();
         self.nodes.clear();
-        for (i, &raw) in positions.iter().enumerate() {
-            let (p, _) = GridNetwork::clamp_position(&self.system, raw);
-            self.nodes.push(SensorNode::new(NodeId::new(i as u32), p));
-        }
-        let system = &self.system;
-        let nodes = &self.nodes;
-        self.members.rebuild_with(cells, nodes.len(), |i| {
-            let cell = system
-                .cell_of(nodes[i].position())
-                .expect("clamped position must be inside the area");
-            system
-                .index_of(cell)
-                .expect("cell_of returns in-bounds coords")
-        });
+        self.nodes
+            .extend(positions.iter().enumerate().map(|(i, &raw)| {
+                SensorNode::new(NodeId::new(i as u32), GridNetwork::clamp_into(&area, raw))
+            }));
+        let n = positions.len();
         self.heads.clear();
         self.heads.resize(cells, None);
         self.enabled_bits.clear();
-        self.enabled_bits
-            .resize(nodes.len().div_ceil(WORD_BITS), !0u64);
-        if !nodes.len().is_multiple_of(WORD_BITS) {
+        self.enabled_bits.resize(n.div_ceil(WORD_BITS), !0u64);
+        if !n.is_multiple_of(WORD_BITS) {
             if let Some(last) = self.enabled_bits.last_mut() {
-                *last = (1u64 << (nodes.len() % WORD_BITS)) - 1;
+                *last = (1u64 << (n % WORD_BITS)) - 1;
             }
         }
-        self.enabled = nodes.len();
+        self.enabled = n;
+        // A fresh network has no heads, so its headless cells are exactly
+        // its occupied ones; vacant cells are the enabled ones without
+        // members (disabled cells read as occupied forever, so no vacancy
+        // query or journal consumer ever sees them as holes). Both are
+        // loaded a word at a time, unjournaled: the initial state is the
+        // consumer's baseline, not a change.
         self.occupancy.reset(cells);
         self.headless.reset(cells);
-        for idx in 0..cells {
-            // Disabled cells read as occupied forever: no vacancy query
-            // or change-journal consumer ever sees them as holes.
-            if self.members.len_of(idx) > 0 || !self.mask.index_enabled(idx) {
-                self.occupancy.set_occupied(idx);
-            }
-            self.sync_headless(idx);
-        }
-        // A freshly deployed network starts with a clean journal: the
-        // initial state is the consumer's baseline, not a change.
-        self.occupancy.clear_changes();
+        let (occupancy, headless) = (&mut self.occupancy, &mut self.headless);
+        let enabled = self.mask.enabled_words();
+        self.members.rebuild_staged(cells, |w, has_members| {
+            occupancy.assign_word(w, enabled[w] & !has_members);
+            headless.assign_word(w, has_members);
+        });
         Ok(())
     }
 
@@ -506,17 +515,34 @@ impl GridNetwork {
         }
     }
 
-    /// Elects a head in every occupied cell using `policy`.
+    /// Elects a head in every occupied cell using `policy`, visiting the
+    /// cells in row-major order (so [`HeadElection::Random`] draws once
+    /// per occupied cell, in that order).
+    ///
+    /// Cost: one election per cell — a member-slice read, plus the cell
+    /// center only under [`HeadElection::ClosestToCenter`] — and
+    /// `cells/64` word writes that clear the headless bitset, since every
+    /// occupied cell ends up headed.
     pub fn elect_all_heads(&mut self, policy: HeadElection, rng: &mut SimRng) {
-        for idx in 0..self.members.cells() {
-            let coord = self.system.coord_of(idx);
-            let center = self
-                .system
-                .cell_center(coord)
-                .expect("coord_of yields in-bounds coords");
-            self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
-            self.sync_headless(idx);
+        for (idx, head) in self.heads.iter_mut().enumerate() {
+            let center = GridNetwork::election_center(&self.system, policy, idx);
+            *head = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
         }
+        self.headless.clear();
+    }
+
+    /// The cell center `policy` needs to elect in cell `idx`: computed
+    /// only for [`HeadElection::ClosestToCenter`], the one policy that
+    /// reads it.
+    #[inline]
+    fn election_center(system: &GridSystem, policy: HeadElection, idx: usize) -> Point2 {
+        if policy != HeadElection::ClosestToCenter {
+            return Point2::ORIGIN;
+        }
+        let coord = system.coord_of(idx);
+        system
+            .cell_center(coord)
+            .expect("coord_of yields in-bounds coords")
     }
 
     /// Re-elects heads only in cells that have members but no head
@@ -537,11 +563,7 @@ impl GridNetwork {
             while word != 0 {
                 let idx = w * WORD_BITS + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let coord = self.system.coord_of(idx);
-                let center = self
-                    .system
-                    .cell_center(coord)
-                    .expect("coord_of yields in-bounds coords");
+                let center = GridNetwork::election_center(&self.system, policy, idx);
                 self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
                 self.sync_headless(idx);
                 repaired += 1;
@@ -606,15 +628,13 @@ impl GridNetwork {
         raw: Point2,
         battery: wsn_simcore::Battery,
     ) -> Result<NodeId> {
-        let (p, cell) = GridNetwork::clamp_position(&self.system, raw);
-        if !self.mask.is_enabled(cell) {
-            return Err(GridError::CellDisabled { coord: cell });
+        let (p, idx) = GridNetwork::clamp_position(&self.system, &self.system.area(), raw);
+        if !self.mask.index_enabled(idx) {
+            return Err(GridError::CellDisabled {
+                coord: self.system.coord_of(idx),
+            });
         }
         let id = NodeId::new(self.nodes.len() as u32);
-        let idx = self
-            .system
-            .index_of(cell)
-            .expect("clamped position cell is in bounds");
         self.nodes.push(SensorNode::with_battery(id, p, battery));
         self.members.push(idx, id);
         if self.enabled_bits.len() * WORD_BITS < self.nodes.len() {
@@ -644,12 +664,10 @@ impl GridNetwork {
             return Ok(None);
         }
         node.disable();
-        let pos = node.position();
-        let cell = self
+        let idx = self
             .system
-            .cell_of(pos)
+            .index_at(node.position())
             .expect("enabled node positions stay in the area");
-        let idx = self.system.index_of(cell)?;
         self.members.remove(idx, id);
         if self.heads[idx] == Some(id) {
             self.heads[idx] = None;
@@ -660,7 +678,7 @@ impl GridNetwork {
         if self.members.len_of(idx) == 0 {
             self.occupancy.set_vacant(idx);
         }
-        Ok(Some(cell))
+        Ok(Some(self.system.coord_of(idx)))
     }
 
     /// Moves enabled node `id` to `target` (which must be inside the
@@ -691,11 +709,12 @@ impl GridNetwork {
     /// grid, and [`GridError::CellDisabled`] when it falls in a
     /// masked-out cell.
     pub fn move_node(&mut self, id: NodeId, target: Point2) -> Result<MoveOutcome> {
-        let to_cell = self
+        let to_idx = self
             .system
-            .cell_of(target)
+            .index_at(target)
             .ok_or(GridError::TargetOutsideArea)?;
-        if !self.mask.is_enabled(to_cell) {
+        let to_cell = self.system.coord_of(to_idx);
+        if !self.mask.index_enabled(to_idx) {
             return Err(GridError::CellDisabled { coord: to_cell });
         }
         let node = self
@@ -705,12 +724,11 @@ impl GridNetwork {
         if !node.status().is_enabled() {
             return Err(GridError::NodeDisabled { index: id.index() });
         }
-        let from_cell = self
+        let from_idx = self
             .system
-            .cell_of(node.position())
+            .index_at(node.position())
             .expect("enabled node positions stay in the area");
-        let from_idx = self.system.index_of(from_cell)?;
-        let to_idx = self.system.index_of(to_cell)?;
+        let from_cell = self.system.coord_of(from_idx);
         let from_pos = node.position();
         let mut distance = self.nodes[id.index()].move_to(target);
         if !self.mask.is_full()
@@ -855,7 +873,14 @@ impl GridNetwork {
         }
         assert_eq!(
             (self.headless.cells(), self.headless.len()),
-            (self.members.cells(), self.headless.iter().count()),
+            (
+                self.members.cells(),
+                self.headless
+                    .words()
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum()
+            ),
             "headless bitset domain or counter out of sync"
         );
         for node in &self.nodes {
@@ -1434,6 +1459,124 @@ mod tests {
         assert_eq!(net.vacant_count(), 5);
         assert_eq!(net.vacant_iter().count(), 5);
         net.debug_invariants();
+    }
+
+    /// The arena rebuild spelled out one node and one cell at a time:
+    /// map each node with the area clamp and the floor-based
+    /// [`GridSystem::cell_of`], push it into its cell, mark each occupied
+    /// (or disabled) cell through the journaling `set_occupied`, clear
+    /// the journal, then derive every headless bit with `sync_headless`.
+    /// The oracle `with_mask` and `reset_into` must reproduce exactly.
+    fn naive_build(system: GridSystem, mask: RegionMask, raw: &[Point2]) -> Result<GridNetwork> {
+        mask.check_dims(system.cols(), system.rows())?;
+        let area = system.area();
+        let mut placed = Vec::with_capacity(raw.len());
+        for &r in raw {
+            let mut p = area.clamp_point(r);
+            if p.x >= area.max().x {
+                p.x = f64::from(f32::from_bits((p.x as f32).to_bits() - 1));
+            }
+            if p.y >= area.max().y {
+                p.y = f64::from(f32::from_bits((p.y as f32).to_bits() - 1));
+            }
+            let cell = system.cell_of(p).expect("clamped into the area");
+            if !mask.is_enabled(cell) {
+                return Err(GridError::CellDisabled { coord: cell });
+            }
+            placed.push((p, system.index_of(cell)?));
+        }
+        let cells = system.cell_count();
+        let mut net = GridNetwork {
+            system,
+            nodes: Vec::new(),
+            members: MemberTable::new(cells),
+            heads: vec![None; cells],
+            headless: HoleSet::new(cells),
+            enabled_bits: vec![0; raw.len().div_ceil(WORD_BITS)],
+            occupancy: VacancySet::new(cells),
+            enabled: raw.len(),
+            mask,
+        };
+        for (i, &(p, idx)) in placed.iter().enumerate() {
+            let id = NodeId::new(i as u32);
+            net.nodes.push(SensorNode::new(id, p));
+            net.members.push(idx, id);
+            net.enabled_bits[i / WORD_BITS] |= 1 << (i % WORD_BITS);
+        }
+        for idx in 0..cells {
+            if net.members.len_of(idx) > 0 || !net.mask.index_enabled(idx) {
+                net.occupancy.set_occupied(idx);
+            }
+        }
+        net.occupancy.clear_changes();
+        for idx in 0..cells {
+            net.sync_headless(idx);
+        }
+        Ok(net)
+    }
+
+    /// A deployment position of one of five kinds: anywhere in the area,
+    /// exactly on a cell boundary, on the top or right area edge, or
+    /// outside the area (clamped in by the build).
+    fn probe_point(sys: &GridSystem, kind: u8, u: f64, v: f64) -> Point2 {
+        let (w, h) = (sys.area().max().x, sys.area().max().y);
+        let side = sys.cell_side();
+        let on_line = |t: f64, n: u16| (t * f64::from(n + 1)).floor() * side;
+        match kind {
+            0 => Point2::new(u * w, v * h),
+            1 => Point2::new(on_line(u, sys.cols()), on_line(v, sys.rows())),
+            2 => Point2::new(u * w, h),
+            3 => Point2::new(w, v * h),
+            _ => Point2::new((u - 0.5) * 3.0 * w, (v - 0.5) * 3.0 * h),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn rebuild_matches_naive_per_cell_build(
+            cols in 1u16..10, rows in 1u16..10, shape_idx in 0usize..5,
+            probes in proptest::collection::vec((0u8..5, 0.0..1.0f64, 0.0..1.0f64), 0..120),
+            seed in 0u64..1000,
+        ) {
+            let sys = GridSystem::new(cols, rows, 1.75).unwrap();
+            // The irregular presets can disable every cell of a strip.
+            let mask = if shape_idx == 0 || cols < 2 || rows < 2 {
+                RegionMask::full(cols, rows)
+            } else {
+                crate::RegionShape::IRREGULAR[shape_idx - 1].build_mask(cols, rows)
+            };
+            let positions: Vec<Point2> = probes
+                .iter()
+                .map(|&(kind, u, v)| probe_point(&sys, kind, u, v))
+                .collect();
+            let naive = naive_build(sys, mask.clone(), &positions);
+            let built = GridNetwork::with_mask(sys, mask.clone(), &positions);
+            proptest::prop_assert_eq!(&built, &naive);
+
+            // A dirty arena: deployed, headed, faulted and moved.
+            let mut rng = SimRng::seed_from_u64(seed);
+            let first = crate::deploy::uniform_masked(&sys, &mask, 40, &mut rng);
+            let mut net = GridNetwork::with_mask(sys, mask, &first).unwrap();
+            net.elect_all_heads(HeadElection::FirstId, &mut rng);
+            net.apply_fault(&FaultEvent::KillRandomEnabled { count: 5 }, &mut rng);
+            let _ = net.move_node(NodeId::new(7), probe_point(&sys, 0, 0.3, 0.6));
+            let before = net.clone();
+            let reset = net.reset_into(&positions);
+            match naive {
+                Ok(naive) => {
+                    proptest::prop_assert!(reset.is_ok());
+                    proptest::prop_assert_eq!(&net, &naive);
+                    net.debug_invariants();
+                }
+                Err(err) => {
+                    // A rejected deployment leaves the arena untouched.
+                    proptest::prop_assert_eq!(reset, Err(err));
+                    proptest::prop_assert_eq!(&net, &before);
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,6 +103,16 @@ impl VacancySet {
         }
     }
 
+    /// Overwrites the vacancy bits of cells `64·w .. 64·w + 63` with
+    /// `word` **without journaling**, keeping the vacant counter exact:
+    /// the arena rebuild's bulk load, where the loaded state is the
+    /// consumer's baseline rather than a change. Trailing bits past the
+    /// last cell must be clear in `word`.
+    pub(crate) fn assign_word(&mut self, w: usize, word: u64) {
+        let old = std::mem::replace(&mut self.words[w], word);
+        self.vacant = self.vacant - old.count_ones() as usize + word.count_ones() as usize;
+    }
+
     /// Number of cells tracked.
     #[inline]
     pub fn len(&self) -> usize {

@@ -185,6 +185,33 @@ impl GridSystem {
         Ok(self.cell_rect(coord)?.center())
     }
 
+    /// Dense row-major index of the cell containing `p`, or `None` when
+    /// `p` is outside the area: [`GridSystem::cell_of`] followed by
+    /// [`GridSystem::index_of`], for the hot paths that map a node per
+    /// call (deployment, arena rebuild, moves).
+    ///
+    /// Truncation replaces `floor`: the two agree for every value at or
+    /// past the origin, and points before it are rejected by a compare
+    /// first, so the result equals `cell_of`'s on every input (NaN
+    /// included, which both map to cell 0). The range compare keeps every
+    /// returned index inside the grid.
+    #[inline]
+    pub fn index_at(&self, p: Point2) -> Option<usize> {
+        let origin = self.geom.origin();
+        let fx = (p.x - origin.x) / self.cell_side();
+        let fy = (p.y - origin.y) / self.cell_side();
+        if fx < 0.0 || fy < 0.0 {
+            return None;
+        }
+        let (ix, iy) = (fx as usize, fy as usize);
+        let cols = self.cols as usize;
+        if ix < cols && iy < self.rows as usize {
+            Some(iy * cols + ix)
+        } else {
+            None
+        }
+    }
+
     /// The cell containing `p`, or `None` when `p` is outside the area.
     pub fn cell_of(&self, p: Point2) -> Option<GridCoord> {
         let (ix, iy) = self.geom.cell_index_of(p);
@@ -292,6 +319,31 @@ mod tests {
             sys.cell_of(Point2::new(7.999, 9.999)),
             Some(GridCoord::new(3, 4))
         );
+    }
+
+    #[test]
+    fn index_at_agrees_with_cell_of_everywhere() {
+        let sys = GridSystem::new(4, 5, 2.0).unwrap();
+        let edges = [
+            -1e300, -2.0, -1e-300, -0.0, 0.0, 1e-300, 1.999, 2.0, 4.0, 7.999, 8.0, 9.999, 10.0,
+            1e300,
+        ];
+        for &x in edges
+            .iter()
+            .chain(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+        {
+            for &y in edges
+                .iter()
+                .chain(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+            {
+                let p = Point2::new(x, y);
+                assert_eq!(
+                    sys.index_at(p),
+                    sys.cell_of(p).map(|c| sys.index_of(c).unwrap()),
+                    "{p:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -320,6 +320,15 @@ proptest! {
                 btree.iter().copied().collect::<Vec<_>>()
             );
             prop_assert_eq!(kernel.len(), btree.len());
+            // The sweep stops after len() cells: every prefix a caller
+            // takes, and the last cell, match the ordered set's.
+            for k in [0, 1, btree.len() / 2, btree.len().saturating_sub(1), btree.len() + 1] {
+                prop_assert_eq!(
+                    kernel.iter().take(k).collect::<Vec<_>>(),
+                    btree.iter().copied().take(k).collect::<Vec<_>>()
+                );
+            }
+            prop_assert_eq!(kernel.iter().last(), btree.last().copied());
             // Both == the member-table scan oracle.
             let scan: Vec<usize> = net
                 .vacant_cells_scan()
@@ -477,6 +486,90 @@ proptest! {
         net.debug_invariants();
         // Every occupied cell is headed, so a second repair is a no-op.
         prop_assert_eq!(net.repair_heads(HeadElection::Random, &mut rng), 0);
+    }
+
+    #[test]
+    fn hole_set_sweep_stops_early_like_btreeset(
+        cells in 1usize..600,
+        ops in prop::collection::vec((0u8..3, 0usize..600), 0..80),
+    ) {
+        // Sparse sets (often one member in a large domain, the SR
+        // single-replacement shape) exercise the early stop: the sweep
+        // ends at the len()-th member, before the empty tail words.
+        let mut kernel = HoleSet::new(cells);
+        let mut btree = BTreeSet::new();
+        for &(op, raw) in &ops {
+            let idx = raw % cells;
+            match op {
+                0 => prop_assert_eq!(kernel.insert(idx), btree.insert(idx)),
+                1 => prop_assert_eq!(kernel.remove(idx), btree.remove(&idx)),
+                _ => {
+                    kernel.clear();
+                    btree.clear();
+                }
+            }
+            prop_assert_eq!(kernel.len(), btree.len());
+            prop_assert_eq!(
+                kernel.iter().collect::<Vec<_>>(),
+                btree.iter().copied().collect::<Vec<_>>()
+            );
+            let mut sweep = kernel.iter();
+            for &want in &btree {
+                prop_assert_eq!(sweep.next(), Some(want));
+            }
+            prop_assert_eq!(sweep.next(), None);
+            prop_assert_eq!(kernel.first(), btree.first().copied());
+        }
+    }
+
+    #[test]
+    fn elect_all_heads_matches_per_cell_reference(
+        (cols, rows) in (1u16..12, 1u16..12), count in 0usize..250,
+        seed in 0u64..1000, policy_idx in 0usize..4, shape_idx in 0usize..5,
+        drains in 0usize..40,
+    ) {
+        // For every policy, on full and masked regions, the election pass
+        // picks the heads of a per-cell loop that computes every cell
+        // center, and leaves the RNG at the same draw.
+        let policy = [
+            HeadElection::FirstId,
+            HeadElection::MaxEnergy,
+            HeadElection::ClosestToCenter,
+            HeadElection::Random,
+        ][policy_idx];
+        let sys = GridSystem::new(cols, rows, 1.5).unwrap();
+        let mask = if shape_idx == 0 || cols < 2 || rows < 2 {
+            RegionMask::full(cols, rows)
+        } else {
+            RegionShape::IRREGULAR[shape_idx - 1].build_mask(cols, rows)
+        };
+        let mut rng = SimRng::seed_from_u64(seed);
+        let pos = deploy::uniform_masked(&sys, &mask, count, &mut rng);
+        let mut net = GridNetwork::with_mask(sys, mask, &pos).unwrap();
+        // Uneven batteries so MaxEnergy has something to choose by, and a
+        // stale head or two for the pass to overwrite.
+        for _ in 0..drains.min(count) {
+            let id = NodeId::new(rng.range_u32(count as u32));
+            net.draw_battery(id, rng.uniform_in(0.0, 5_000.0)).unwrap();
+        }
+        if count > 0 {
+            net.elect_all_heads(HeadElection::FirstId, &mut rng);
+            let _ = net.disable_node(NodeId::new(rng.range_u32(count as u32)));
+        }
+        let mut reference_rng = rng.clone();
+        let reference: Vec<Option<NodeId>> = sys
+            .iter_coords()
+            .map(|c| {
+                let center = sys.cell_center(c).unwrap();
+                policy.elect(net.members(c).unwrap(), net.nodes(), center, &mut reference_rng)
+            })
+            .collect();
+        net.elect_all_heads(policy, &mut rng);
+        let heads: Vec<Option<NodeId>> =
+            sys.iter_coords().map(|c| net.head_of(c).unwrap()).collect();
+        prop_assert_eq!(heads, reference);
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
+        net.debug_invariants();
     }
 
     #[test]

@@ -344,11 +344,11 @@ fn submissions_are_validated_and_cancellation_is_served() {
         let response = client::request(&daemon.addr, "POST", "/jobs", Some(body)).expect("post");
         assert_eq!(response.status, 400, "{body:?} was accepted");
     }
-    // A job heavy enough (~thousands of trials) that cancelling it
-    // mid-run cannot race its completion.
+    // A job heavy enough (16,000 trials, seconds on the single runner)
+    // that cancelling it mid-run cannot race its completion.
     let big = CampaignConfig {
         name: "e2e-cancel".into(),
-        seeds_per_cell: 400,
+        seeds_per_cell: 4000,
         ..long_config()
     };
     let running_id = submit(&daemon.addr, &big);
